@@ -139,7 +139,7 @@ def _cmd_complex(args):
     if args.kind == "totalcut":
         k = total_cut_complex(g, args.d)
     else:
-        k = bounded_independence_complex(g, args.d)
+        k = bounded_independence_complex(g, args.d, cap=args.force)
     _emit(complex_to_json(k), args.output)
     return 0
 

@@ -300,8 +300,8 @@ def total_cut_complex(g: Graph, d):
     return _total_cut(g, d)
 
 
-def _bounded_independence(g: Graph, d):
-    table = g.alpha_table()
+def _bounded_independence(g: Graph, d, cap=None):
+    table = g.alpha_table(cap)
     n = g.n
     full = (1 << n) - 1
     simplices = [m for m in range(full + 1) if table[m] < d]
@@ -322,15 +322,16 @@ def _bounded_independence(g: Graph, d):
     )
 
 
-def bounded_independence_complex(g: Graph, d):
+def bounded_independence_complex(g: Graph, d, cap=None):
     """Complex of vertex sets inducing subgraphs with independence number < d.
 
     The exhaustive subset scan uses the memoized per-subset independence
-    table; at d = 2 this is the clique complex of g.
+    table, whose vertex count ``cap`` bounds; at d = 2 this is the clique
+    complex of g.
     """
     if d < 2:
         raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
-    return _bounded_independence(g, d)
+    return _bounded_independence(g, d, cap)
 
 
 # -- constructions on complexes -------------------------------------------------

@@ -18,7 +18,7 @@ from collections import deque
 from itertools import combinations, product
 from math import inf
 
-from .limits import ENUM_CAP, INDEPENDENCE_CAP, SizeCapError
+from .limits import INDEPENDENCE_CAP, SizeCapError, resolve_cap
 
 
 class GraphFormatError(ValueError):
@@ -103,16 +103,18 @@ class Graph:
             self._closed_masks = tuple(m | (1 << i) for i, m in enumerate(opens))
         return self._closed_masks
 
-    def alpha_table(self):
+    def alpha_table(self, cap=None):
         """Independence number of every induced subgraph, indexed by vertex bitmask.
 
         Entry ``t[m]`` is the independence number of the subgraph induced by
-        ``{v : bit v-1 of m set}``.  One byte per subset; capped at 20 vertices.
+        ``{v : bit v-1 of m set}``.  One byte per subset; the vertex count is
+        capped by ``limits.resolve_cap(cap)``.
         """
         if self._alpha is None:
-            if self.n > ENUM_CAP:
+            limit = resolve_cap(cap)
+            if self.n > limit:
                 raise SizeCapError(
-                    f"alpha_table needs 2^{self.n} bytes; capped at {ENUM_CAP} vertices"
+                    f"alpha_table needs 2^{self.n} bytes; capped at {limit} vertices"
                 )
             closed = self.closed_masks()
             table = bytearray(1 << self.n)

@@ -8,9 +8,21 @@ One structural fast path: whenever the chain groups in degrees q and q-1 are
 the complete skeleta of the ground set (basis counts hit C(n, q+1) and
 C(n, q)), the boundary matrix is the standard simplex boundary, whose rank is
 C(n-1, q) with all invariant factors 1.  Everything else goes through the
-sparse Smith normal form.  The composition of consecutive boundaries is
-checked to vanish on every constructed complex, and every homology
-computation is checked against the Euler characteristic of its chain complex.
+Smith normal form of ``snf``: unit-pivot elimination, then a dense reduction
+of each connected block of the residual.
+
+Degrees are reduced from the top down with clearing: every unit pivot row of
+the boundary from degree q+1 names a degree-q column that is dropped from the
+boundary from degree q.  This is exact over the integers.  The unit pivots
+span a submatrix of determinant +-1, so the boundaries of their columns,
+together with the basis elements of the other rows, form a basis of the
+degree-q chains; the boundary map vanishes on the former, and on the latter it
+is the boundary matrix without the cleared columns.  Rank and invariant
+factors therefore do not change.
+
+The composition of consecutive boundaries is checked to vanish on every
+constructed complex, and every homology computation is checked against the
+Euler characteristic of its chain complex.
 """
 
 from __future__ import annotations
@@ -178,10 +190,15 @@ class ChainComplex:
             out.append(tuple(verts))
         return out
 
-    def boundary_rows(self, q):
-        """Boundary matrix of degree q as a dict-of-rows sparse matrix."""
+    def boundary_rows(self, q, skip=()):
+        """Boundary matrix of degree q as a dict-of-rows sparse matrix.
+
+        Columns whose index is in ``skip`` are left out.
+        """
         rows = {}
         for j, col in enumerate(self.columns.get(q, ())):
+            if j in skip:
+                continue
             for i, s in col:
                 rows.setdefault(i, {})[j] = s
         return rows
@@ -315,17 +332,25 @@ def homology_of_chain(cc: ChainComplex):
     n = len(cc.ground)
     ranks = {q: 0 for q in range(-1, top + 2)}
     torsion_from = {}
-    for q in range(0, top + 1):
+    cleared = set()
+    for q in range(top, -1, -1):
         if cc.basis_size(q) == 0:
             continue
         if cc.is_full_skeleton_degree(q) and cc.is_full_skeleton_degree(q - 1):
             # standard simplex boundary: rank C(n-1, q), unit invariant factors
             ranks[q] = comb(n - 1, q)
             torsion_from[q] = ()
+            cleared = set()
         else:
-            factors, rank = smith_normal_form(cc.boundary_rows(q))
+            # clearing: columns that were unit pivot rows one degree up drop
+            # out without changing rank or torsion (see the module docstring)
+            pivots = set()
+            factors, rank = smith_normal_form(
+                cc.boundary_rows(q, skip=cleared), pivot_rows=pivots
+            )
             ranks[q] = rank
             torsion_from[q] = tuple(f for f in factors if f != 1)
+            cleared = pivots
     groups = []
     for q in range(-1, top + 1):
         betti = cc.basis_size(q) - ranks[q] - ranks.get(q + 1, 0)

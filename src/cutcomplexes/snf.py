@@ -1,18 +1,19 @@
 """Exact Smith normal form over the integers.
 
-The primary path is a sparse elimination on dict-of-rows with arbitrary
-precision throughout.  Pivots are chosen by smallest nonzero absolute value,
-tie-broken by minimal fill (nonzero count of the pivot row plus column), which
-keeps coefficient growth and fill-in tame on boundary matrices.  A dense
-textbook reduction and a fraction-free rank are kept as independent
-cross-checks.
+Boundary matrices of simplicial complexes are made of +-1 entries, and almost
+every pivot they need is a unit.  So the engine first eliminates unit pivots
+on a dict-of-rows: while some column still holds a +-1, that column is cleared
+with row operations from the unit row with the fewest nonzeros, and the pivot
+row is retired (its column is a singleton by then, so the column operations
+that would clear it touch nothing else).  Each retired pivot contributes an
+invariant factor 1, and the keys of the pivot rows can be handed back to the
+caller, which uses them to clear columns of the next boundary down.
 
-Eliminating a pivot clears its column with row operations; the column
-operations that would clear the pivot row then touch only the pivot row
-itself (its column is a singleton by that point), so the row is simply
-retired and its value recorded.  The recorded diagonal is normalized into the
-divisibility chain at the end, which is the Smith normal form of the diagonal
-matrix the eliminations produced.
+What no unit pivot reaches is the residual.  It is split into connected
+blocks, rows linked by a shared column, and each block goes to the textbook
+dense reduction; the diagonals of all parts are normalized into one
+divisibility chain at the end.  Arithmetic is arbitrary-precision throughout.
+The dense reduction and a fraction-free rank double as independent oracles.
 """
 
 from collections import defaultdict
@@ -35,12 +36,15 @@ def _xgcd(a, b):
 
 
 def _to_rows(matrix):
-    """Copy input (sequence of row sequences, or dict-of-dicts) into dict-of-rows."""
-    if isinstance(matrix, dict):
-        return {r: dict(rv) for r, rv in matrix.items() if rv}
+    """Copy input (sequence of row sequences, or dict-of-dicts) into dict-of-rows.
+
+    Zero entries and empty rows are dropped.
+    """
+    items = matrix.items() if isinstance(matrix, dict) else enumerate(matrix)
     rows = {}
-    for i, row in enumerate(matrix):
-        rv = {j: int(x) for j, x in enumerate(row) if x}
+    for i, row in items:
+        entries = row.items() if isinstance(row, dict) else enumerate(row)
+        rv = {j: int(x) for j, x in entries if x}
         if rv:
             rows[i] = rv
     return rows
@@ -64,190 +68,103 @@ def invariant_chain(values):
     return [1] * ones + rest
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, pivot_rows=None):
     """Invariant factors (d1 | d2 | ... | dr, all > 0) and rank r.
 
     ``matrix`` is a sequence of rows or a dict-of-rows mapping; the input is
-    not modified.  The zero matrix yields ``([], 0)``.
+    not modified.  The zero matrix yields ``([], 0)``.  When ``pivot_rows`` is
+    a set, the keys of the rows taken as unit pivots are added to it.
     """
-    diag = _eliminate(_to_rows(matrix))
+    rows = _to_rows(matrix)
+    diag = [1] * _unit_pivots(rows, pivot_rows)
+    for block in _blocks(rows):
+        diag.extend(smith_normal_form_dense(block)[0])
     factors = invariant_chain(diag)
     return factors, len(factors)
 
 
-def _eliminate(rows):
-    """Sparse unimodular elimination; returns the diagonal values collected."""
+def _unit_pivots(rows, pivot_rows=None):
+    """Eliminate +-1 pivots from ``rows`` in place; returns how many were taken.
+
+    While some column holds a +-1, that column is cleared with row operations
+    from the unit row with the fewest nonzeros, and the pivot row is retired:
+    with the column cleared, the column operations that would clear the row
+    touch nothing else.  What is left in ``rows`` is the residual.
+    """
     cols = defaultdict(set)
     for r, rv in rows.items():
         for c in rv:
             cols[c].add(r)
-
-    row_nnz = {r: len(rv) for r, rv in rows.items()}
-    col_nnz = {c: len(cv) for c, cv in cols.items()}
-    rows_by_nnz = defaultdict(set)
-    for r, k in row_nnz.items():
-        rows_by_nnz[k].add(r)
-    cols_by_nnz = defaultdict(set)
-    for c, k in col_nnz.items():
-        cols_by_nnz[k].add(c)
-    # columns that contain at least one +-1 entry, with a per-column count
-    col_units = defaultdict(int)
-    unit_total = 0
-    for r, rv in rows.items():
-        for c, v in rv.items():
-            if v == 1 or v == -1:
-                col_units[c] += 1
-                unit_total += 1
-
-    def set_entry(r, c, value):
-        """Write/clear one entry, maintaining every index."""
-        nonlocal unit_total
-        rv = rows[r]
-        old = rv.get(c, 0)
-        if old == value:
-            return
-        if (old == 1 or old == -1) and not (value == 1 or value == -1):
-            col_units[c] -= 1
-            unit_total -= 1
-        elif (value == 1 or value == -1) and not (old == 1 or old == -1):
-            col_units[c] += 1
-            unit_total += 1
-        if old == 0:
-            rv[c] = value
-            cols[c].add(r)
-            rows_by_nnz[row_nnz[r]].discard(r)
-            row_nnz[r] += 1
-            rows_by_nnz[row_nnz[r]].add(r)
-            cols_by_nnz[col_nnz.get(c, 0)].discard(c)
-            col_nnz[c] = col_nnz.get(c, 0) + 1
-            cols_by_nnz[col_nnz[c]].add(c)
-        elif value == 0:
-            del rv[c]
-            cols[c].discard(r)
-            rows_by_nnz[row_nnz[r]].discard(r)
-            row_nnz[r] -= 1
-            rows_by_nnz[row_nnz[r]].add(r)
-            cols_by_nnz[col_nnz[c]].discard(c)
-            col_nnz[c] -= 1
-            cols_by_nnz[col_nnz[c]].add(c)
-        else:
-            rv[c] = value
-
-    def row_axpy(i, q, pivot_items):
-        """row_i += q * pivot_row."""
-        for j, pv in pivot_items:
-            set_entry(i, j, rows[i].get(j, 0) + q * pv)
-
-    def retire_row(r):
-        for j in list(rows[r]):
-            set_entry(r, j, 0)
-        rows_by_nnz[0].discard(r)
-        del rows[r], row_nnz[r]
-
-    def min_row_nnz():
-        k = 1
-        while True:
-            bucket = rows_by_nnz.get(k)
-            if bucket:
-                return k
-            k += 1
-            if k > len(rows) + len(cols) + 2:
-                return 1  # unreachable; defensive
-
-    def pick_pivot():
-        """Smallest |value|, tie-broken by minimal nnz(row) + nnz(col).
-
-        The scan walks columns in increasing-nnz buckets and stops as soon as
-        a candidate provably attains the minimum fill (its fill equals the
-        current bucket size plus the global minimum row nnz), or after a
-        bounded number of candidates once one has been found.
-        """
-        have_units = unit_total > 0
-        target = 1 if have_units else min(
-            abs(v) for rv in rows.values() for v in rv.values()
-        )
-        floor = min_row_nnz()
-        best = None  # (fill, c, r)
-        budget = 4096
-        k = 1
-        while True:
-            if best is not None and k + floor >= best[0]:
-                break
-            bucket = cols_by_nnz.get(k)
-            if bucket:
-                for c in bucket:
-                    if have_units and not col_units[c]:
-                        continue
-                    for r in cols[c]:
-                        if abs(rows[r][c]) != target:
-                            continue
-                        fill = k + row_nnz[r]
-                        if best is None or fill < best[0]:
-                            best = (fill, c, r)
-                            if fill <= k + floor:
-                                return r, c
-                    budget -= 1
-                    if best is not None and budget <= 0:
-                        return best[2], best[1]
-            k += 1
-            if k > len(rows) + 2:
-                break
-        _, c, r = best
-        return r, c
-
-    def reduce_pivot(r, c):
-        """Make the pivot divide every entry in its row and column."""
-        while True:
-            v = rows[r][c]
-            if v == 1 or v == -1:
-                return
-            bad = next((i for i in cols[c] if i != r and rows[i][c] % v), None)
-            if bad is not None:
-                a, b = v, rows[bad][c]
-                g, x, y = _xgcd(a, b)
-                combine_rows(r, bad, x, y, -(b // g), a // g)
-                continue
-            bad = next((j for j in rows[r] if j != c and rows[r][j] % v), None)
-            if bad is not None:
-                a, b = v, rows[r][bad]
-                g, x, y = _xgcd(a, b)
-                combine_cols(c, bad, x, y, -(b // g), a // g)
-                continue
-            return
-
-    def combine_rows(r1, r2, x, y, z, w):
-        """(row_r1, row_r2) <- (x*r1 + y*r2, z*r1 + w*r2); det(x w - y z) = +-1."""
-        touched = set(rows[r1]) | set(rows[r2])
-        for j in touched:
-            a = rows[r1].get(j, 0)
-            b = rows[r2].get(j, 0)
-            set_entry(r1, j, x * a + y * b)
-            set_entry(r2, j, z * a + w * b)
-
-    def combine_cols(c1, c2, x, y, z, w):
-        touched = set(cols[c1]) | set(cols[c2])
-        for i in touched:
-            a = rows[i].get(c1, 0)
-            b = rows[i].get(c2, 0)
-            set_entry(i, c1, x * a + y * b)
-            set_entry(i, c2, z * a + w * b)
-
-    diag = []
-    while rows:
-        r, c = pick_pivot()
-        reduce_pivot(r, c)
-        v = rows[r][c]
-        pivot_items = list(rows[r].items())
+    pending = sorted(cols)
+    queued = set(pending)
+    taken = 0
+    while pending:
+        c = pending.pop()
+        queued.discard(c)
+        units = [r for r in cols[c] if rows[r][c] in (1, -1)]
+        if not units:
+            continue
+        r = min(units, key=lambda r: len(rows[r]))
+        pivot = rows.pop(r)
+        for j in pivot:
+            cols[j].discard(r)
+        sign = pivot[c]
         for i in list(cols[c]):
-            if i != r:
-                row_axpy(i, -(rows[i][c] // v), pivot_items)
-        diag.append(abs(v))
-        retire_row(r)
-        # rows that became zero carry no further information
-        for dead in list(rows_by_nnz.get(0, ())):
-            rows_by_nnz[0].discard(dead)
-            del rows[dead], row_nnz[dead]
-    return diag
+            row = rows[i]
+            q = row[c] * sign
+            for j, pv in pivot.items():
+                x = row.get(j, 0) - q * pv
+                if x:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = x
+                    if (x == 1 or x == -1) and j not in queued:
+                        queued.add(j)
+                        pending.append(j)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        taken += 1
+        if pivot_rows is not None:
+            pivot_rows.add(r)
+    return taken
+
+
+def _blocks(rows):
+    """Split a dict-of-rows into dense blocks of rows linked by shared columns."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    owner = {}
+    for r, rv in rows.items():
+        parent[r] = r
+        for c in rv:
+            if c in owner:
+                a, b = find(owner[c]), find(r)
+                if a != b:
+                    parent[a] = b
+            else:
+                owner[c] = r
+    groups = defaultdict(list)
+    for r in rows:
+        groups[find(r)].append(r)
+    for members in groups.values():
+        cols = sorted({c for r in members for c in rows[r]})
+        at = {c: j for j, c in enumerate(cols)}
+        block = []
+        for r in members:
+            line = [0] * len(cols)
+            for c, v in rows[r].items():
+                line[at[c]] = v
+            block.append(line)
+        yield block
 
 
 # -- independent reference implementations ------------------------------------
@@ -256,8 +173,8 @@ def _eliminate(rows):
 def smith_normal_form_dense(matrix):
     """Textbook dense reduction; same contract as smith_normal_form.
 
-    Kept as an independent oracle for the sparse engine (and perfectly fine
-    for small matrices).
+    Solves the residual blocks of the unit-pivot elimination, and serves as
+    an independent oracle for it.
     """
     a = [list(map(int, row)) for row in matrix]
     m = len(a)
@@ -278,7 +195,6 @@ def smith_normal_form_dense(matrix):
         a[top], a[pi] = a[pi], a[top]
         for row in a:
             row[top], row[pj] = row[pj], row[top]
-        # hmm: column swap needs a stable target; use column `top` as home
         while True:
             v = a[top][top]
             moved = False

@@ -150,6 +150,31 @@ def test_env_var_mirrors_force(capsys, monkeypatch):
     assert json.loads(out)["reduced"] == []
 
 
+def test_complex_build_force_sets_alpha_table_cap(capsys, monkeypatch):
+    build = ("complex", "build", "--kind", "bi", "--d", "2")
+    code, _, err = run_cli(capsys, *build, "--force", "5", "path:6")
+    assert code == 2 and "capped at 5 vertices" in err
+    # --force wins over the environment in both directions
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
+    code, out, _ = run_cli(capsys, *build, "--force", "6", "path:6")
+    assert code == 0
+    assert len(json.loads(out)["facets"]) == 5
+
+
+def test_complex_build_env_var_sets_alpha_table_cap(capsys, monkeypatch):
+    build = ("complex", "build", "--kind", "bi", "--d", "2")
+    monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    code, _, err = run_cli(capsys, *build, "path:21")
+    assert code == 2 and "capped at 20 vertices" in err
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "22")
+    code, out, _ = run_cli(capsys, *build, "path:21")
+    assert code == 0
+    assert len(json.loads(out)["facets"]) == 20
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
+    code, _, err = run_cli(capsys, *build, "path:6")
+    assert code == 2 and "capped at 5 vertices" in err
+
+
 def test_verify_cli(tmp_path, capsys):
     jout = tmp_path / "r.json"
     cout = tmp_path / "r.csv"

@@ -35,7 +35,7 @@ from cutcomplexes import (
 )
 from cutcomplexes.complexes import empty_simplex_complex
 from cutcomplexes.homology import homology_of_chain, relative_chain_complex
-from cutcomplexes.snf import invariant_chain
+from cutcomplexes.snf import _blocks, _to_rows, _unit_pivots, invariant_chain
 
 # standard 6-vertex, 10-facet triangulation of the real projective plane
 RP2_FACETS = [
@@ -85,14 +85,21 @@ def test_invariant_chain_normalization():
     assert invariant_chain([]) == []
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
-    st.integers(1, 6),
-    st.integers(1, 6),
+    st.integers(1, 10),
+    st.integers(1, 10),
+    # dense entries in -9..9, or sparse ones in -3..3 that mix unit pivots
+    # with a non-unit residual
+    st.sampled_from([(9, 1.0), (3, 0.4)]),
     st.randoms(use_true_random=False),
 )
-def test_snf_sparse_matches_dense_and_bareiss(m, n, rng):
-    mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+def test_snf_sparse_matches_dense_and_bareiss(m, n, entries, rng):
+    bound, density = entries
+    mat = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(n)]
+        for _ in range(m)
+    ]
     factors, rank = smith_normal_form(mat)
     assert (factors, rank) == smith_normal_form_dense(mat)
     assert rank == bareiss_rank(mat)
@@ -131,17 +138,79 @@ def unimodular_scramble(diag, size, rng, shears=40):
 def test_snf_recovers_planted_invariant_factors():
     # unimodular operations cannot change the invariant factors
     rng = random.Random(42)
-    for diag, size in [
+    cases = [
         ([2, 6, 12], 5),
         ([3, 3, 9], 4),
         ([1, 2, 4, 8], 6),
         ([5], 3),
         ([2, 10, 20, 40], 5),
-    ]:
-        mat = unimodular_scramble(diag, size, rng)
+    ]
+    for _ in range(30):
+        size = rng.randint(3, 9)
+        cases.append(
+            ([rng.choice([1, 1, 2, 3, 4, 6]) for _ in range(rng.randint(1, size))], size)
+        )
+    for diag, size in cases:
+        mat = unimodular_scramble(diag, size, rng, shears=rng.randint(5, 40))
         factors, rank = smith_normal_form(mat)
-        assert rank == len(diag)
+        assert rank == len(diag) == bareiss_rank(mat)
         assert factors == invariant_chain(diag)
+        assert (factors, rank) == smith_normal_form_dense(mat)
+
+
+def test_snf_pivot_row_collector():
+    acc = set()
+    assert smith_normal_form([[1, 0, 0], [0, -1, 0], [0, 0, 1]], pivot_rows=acc) == (
+        [1, 1, 1], 3,
+    )
+    assert acc == {0, 1, 2}
+    # a row that is only reached through the residual is no unit pivot
+    acc = set()
+    assert smith_normal_form({5: {0: 1, 1: 2}, 7: {1: 4}}, pivot_rows=acc) == ([1, 4], 2)
+    assert acc == {5}
+    acc = set()
+    assert smith_normal_form({}, pivot_rows=acc) == ([], 0) and not acc
+    # explicit zeros in a dict-of-rows are no entries
+    assert smith_normal_form({0: {0: 1, 1: 0}, 1: {0: 0, 1: 3}}) == ([1, 3], 2)
+
+
+def _residual_blocks(mat):
+    rows = _to_rows(mat)
+    _unit_pivots(rows)
+    return list(_blocks(rows))
+
+
+def test_snf_residual_splits_into_blocks():
+    # three independent non-unit blocks and a unit part that touches one of them
+    blocks = [[[2, 4], [6, 8]], [[3, 6], [9, 3]], [[4]]]
+    size = sum(len(block) for block in blocks)
+    mat = [[0] * (size + 1) for _ in range(size + 1)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, v in enumerate(row):
+                mat[at + i][at + j] = v
+        at += len(block)
+    mat[size][size] = 1
+    mat[size][0] = 5
+    assert len(_residual_blocks(mat)) == 3
+    factors, rank = smith_normal_form(mat)
+    assert (factors, rank) == smith_normal_form_dense(mat)
+    assert factors == invariant_chain([1, 2, 4, 3, 15, 4])
+
+
+def test_snf_residual_coupled_along_a_chain():
+    # every row shares a column with the next one, so the residual is one block
+    size = 12
+    mat = [[0] * size for _ in range(size)]
+    for i in range(size):
+        mat[i][i] = 2
+        if i + 1 < size:
+            mat[i][i + 1] = 4 + 2 * (i % 3)
+    assert len(_residual_blocks(mat)) == 1
+    factors, rank = smith_normal_form(mat)
+    assert (factors, rank) == smith_normal_form_dense(mat)
+    assert rank == bareiss_rank(mat) == size
 
 
 # -- chain complexes ---------------------------------------------------------------
@@ -208,24 +277,6 @@ def test_rp2_is_a_closed_surface_and_has_torsion():
 
 def test_full_skeleton_shortcut_matches_plain_snf():
     # recompute ranks/torsion for every degree without the shortcut
-    def homology_all_snf(k):
-        cc = chain_complex(k)
-        if cc.void:
-            return HomologyProfile((), void=True)
-        ranks = {q: 0 for q in range(-1, cc.top + 2)}
-        torsion = {}
-        for q in range(0, cc.top + 1):
-            factors, rank = smith_normal_form(cc.boundary_rows(q))
-            ranks[q] = rank
-            torsion[q] = tuple(f for f in factors if f != 1)
-        groups = []
-        for q in range(-1, cc.top + 1):
-            b = cc.basis_size(q) - ranks[q] - ranks.get(q + 1, 0)
-            t = torsion.get(q + 1, ())
-            if b or t:
-                groups.append((q, b, t))
-        return HomologyProfile(tuple(groups))
-
     for k in [
         total_cut_complex(cycle(9), 2),
         total_cut_complex(cycle(9), 3),
@@ -233,7 +284,51 @@ def test_full_skeleton_shortcut_matches_plain_snf():
         bounded_independence_complex(complete_multipartite(3, 3, 3), 3),
         rp2(),
     ]:
-        assert reduced_homology(k) == homology_all_snf(k)
+        assert reduced_homology(k) == homology_dense(k)
+
+
+def homology_dense(k):
+    """Reduced homology from a dense SNF of every boundary: no clearing, no shortcut."""
+    return homology_dense_of_chain(chain_complex(k))
+
+
+def homology_dense_of_chain(cc):
+    if cc.void:
+        return HomologyProfile((), void=True)
+    ranks = {}
+    torsion = {}
+    for q in range(0, cc.top + 1):
+        factors, ranks[q] = smith_normal_form_dense(cc.boundary_dense(q))
+        torsion[q] = tuple(f for f in factors if f != 1)
+    groups = []
+    for q in range(-1, cc.top + 1):
+        b = cc.basis_size(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+        t = torsion.get(q + 1, ())
+        if b or t:
+            groups.append((q, b, t))
+    return HomologyProfile(tuple(groups))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_complexes())
+def test_homology_with_clearing_matches_dense(k):
+    assert reduced_homology(k) == homology_dense(k)
+
+
+def test_torsion_homology_with_clearing_matches_dense():
+    s0 = SimplicialComplex([91, 92], [{91}, {92}])
+    s0b = SimplicialComplex([93, 94], [{93}, {94}])
+    circle = simplex_boundary([95, 96, 97])
+    cases = [
+        (rp2(), ((1, 0, (2,)),)),
+        (join(s0, rp2()), ((2, 0, (2,)),)),
+        (join(s0b, join(s0, rp2())), ((3, 0, (2,)),)),
+        (join(circle, rp2()), ((3, 0, (2,)),)),
+    ]
+    for k, groups in cases:
+        profile = reduced_homology(k)
+        assert profile.groups == groups
+        assert profile == homology_dense(k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,6 +458,27 @@ def test_relative_validation():
     with pytest.raises(ValueError, match="subcomplex"):
         relative_homology(simplex_boundary([1, 2, 3]), k)
     assert relative_homology(k, bad).groups == ((2, 1, ()),)
+
+
+def test_relative_homology_with_clearing_matches_dense():
+    # the 2-skeleton of a simplex with some tetrahedra, relative to two
+    # vertices: degree 2 takes the shortcut between two degrees that do not,
+    # so pivots of degree 3 must not clear anything in degree 1
+    rng = random.Random(11)
+    ground = range(1, 8)
+    triangles = [set(t) for t in combinations(ground, 3)]
+    for _ in range(6):
+        tets = [set(t) for t in rng.sample(list(combinations(ground, 4)), 33)]
+        k = SimplicialComplex.from_facet_candidates(ground, triangles + tets)
+        pair = SimplicialComplex(ground, [{1}, {2}])
+        cc = relative_chain_complex(k, pair)
+        assert homology_of_chain(cc) == homology_dense_of_chain(cc)
+    for _ in range(10):
+        g = random_graph(rng.randint(4, 7), 0.5, rng)
+        cc = relative_chain_complex(
+            bounded_independence_complex(g, 3), bounded_independence_complex(g, 2)
+        )
+        assert homology_of_chain(cc) == homology_dense_of_chain(cc)
 
 
 def test_relative_euler_additivity():
