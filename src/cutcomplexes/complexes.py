@@ -22,7 +22,6 @@ suites are built from.
 
 from __future__ import annotations
 
-import threading
 from itertools import combinations
 
 from .graphs import Graph
@@ -42,7 +41,7 @@ def _prune_to_maximal(masks):
 class SimplicialComplex:
     """Immutable abstract simplicial complex on a declared ground set."""
 
-    __slots__ = ("ground", "facets", "_bit", "_facet_masks", "_simplices", "_lock")
+    __slots__ = ("ground", "facets", "_bit", "_facet_masks", "_simplices")
 
     def __init__(self, ground, facets):
         ground = tuple(sorted(set(ground)))
@@ -61,7 +60,6 @@ class SimplicialComplex:
         self._bit = bit
         self._facet_masks = None
         self._simplices = None
-        self._lock = threading.Lock()
 
     # -- construction helpers ------------------------------------------------
 
@@ -92,7 +90,6 @@ class SimplicialComplex:
             frozenset(self._unmask(m)) for m in self._facet_masks
         )
         self._simplices = sorted(simplices) if simplices is not None else None
-        self._lock = threading.Lock()
         return self
 
     def _mask(self, vertices):
@@ -147,31 +144,34 @@ class SimplicialComplex:
                 return True
         return False
 
+    def check_enumeration_budget(self, cap=None):
+        """Raise ``SizeCapError`` if enumerating the simplices is over budget.
+
+        Ground sets up to the cap always pass; wider ones pass as long as the
+        facets keep the enumeration within the 2^cap work budget.
+        """
+        limit = resolve_cap(cap)
+        if len(self.ground) > limit:
+            est = sum(1 << f.bit_count() for f in self.facet_masks())
+            if est > 1 << limit:
+                raise SizeCapError(
+                    f"simplex enumeration over {len(self.ground)} ground "
+                    f"vertices exceeds the 2^{limit} budget"
+                )
+
     def simplex_masks(self, cap=None):
-        """All simplices as bitmasks (ascending); ground capped for enumeration."""
+        """All simplices as bitmasks (ascending); enumeration is budgeted."""
         if self._simplices is None:
-            with self._lock:
-                if self._simplices is None:
-                    limit = resolve_cap(cap)
-                    if len(self.ground) > limit:
-                        # wide ground sets are fine as long as the facets keep
-                        # the enumeration within the 2^limit work budget
-                        budget = 1 << limit
-                        est = sum(1 << f.bit_count() for f in self.facet_masks())
-                        if est > budget:
-                            raise SizeCapError(
-                                f"simplex enumeration over {len(self.ground)} ground "
-                                f"vertices exceeds the 2^{limit} budget"
-                            )
-                    seen = set()
-                    for f in self.facet_masks():
-                        sub = f
-                        while True:
-                            seen.add(sub)
-                            if sub == 0:
-                                break
-                            sub = (sub - 1) & f
-                    self._simplices = sorted(seen)
+            self.check_enumeration_budget(cap)
+            seen = set()
+            for f in self.facet_masks():
+                sub = f
+                while True:
+                    seen.add(sub)
+                    if sub == 0:
+                        break
+                    sub = (sub - 1) & f
+            self._simplices = sorted(seen)
         return self._simplices
 
     def simplices(self, cap=None):
@@ -369,6 +369,65 @@ def alexander_dual(k: SimplicialComplex, cap=None):
         if minimal:
             dual_facets.append(full ^ m)
     return SimplicialComplex._from_masks(k.ground, sorted(dual_facets))
+
+
+def strong_core(k: SimplicialComplex):
+    """A strong-collapse core of k, homotopy equivalent to k.
+
+    Repeatedly deletes a dominated vertex v: one whose star's facets all share
+    some other vertex.  Such a deletion is a strong collapse, which preserves
+    homotopy type (Barmak-Minian, DCG 2012).  The core's ground set is the
+    surviving vertices; the void complex and {emptyset} come back unchanged,
+    as does a complex with no dominated vertex and no phantom vertex.
+    """
+    facets = k.facet_masks()
+    if not facets or facets == [0]:
+        return k
+    changed = True
+    while changed:
+        changed = False
+        support = 0
+        for f in facets:
+            support |= f
+        while support:
+            v = support & -support
+            support ^= v
+            shared = -1
+            for f in facets:
+                if f & v:
+                    shared &= f
+            if shared == v:
+                continue
+            # v is dominated: replace each star facet f by f ^ v, keeping it
+            # only if no facet outside the star contains it; the facets outside
+            # stay maximal, since each f ^ v lies inside a former facet
+            outside = [f for f in facets if not f & v]
+            facets = outside + [
+                f ^ v
+                for f in facets
+                if f & v and not any((f ^ v) & ~h == 0 for h in outside)
+            ]
+            changed = True
+    support = 0
+    for f in facets:
+        support |= f
+    if support == (1 << len(k.ground)) - 1:
+        return k  # a deletion would have removed a vertex from the support
+    # compress the masks onto the surviving vertices, in ground order
+    bits = []
+    while support:
+        low = support & -support
+        support ^= low
+        bits.append(low)
+    ground = [k.ground[b.bit_length() - 1] for b in bits]
+    compressed = []
+    for f in facets:
+        m = 0
+        for i, b in enumerate(bits):
+            if f & b:
+                m |= 1 << i
+        compressed.append(m)
+    return SimplicialComplex._from_masks(ground, compressed)
 
 
 def _sigma_mask(k, sigma):

@@ -310,18 +310,6 @@ def is_connected(g):
     return len(bfs_distances(g, 1)) == g.n
 
 
-def connected_components(g):
-    """Vertex sets of the components, each sorted, ordered by smallest member."""
-    seen = set()
-    comps = []
-    for v in g.vertices():
-        if v not in seen:
-            comp = sorted(bfs_distances(g, v))
-            seen.update(comp)
-            comps.append(comp)
-    return comps
-
-
 def girth(g):
     """Length of a shortest cycle, or math.inf for forests."""
     best = inf

@@ -4,6 +4,16 @@ Chain complexes are augmented (the empty simplex spans degree -1), boundary
 matrices are exact integer matrices, and reduced homology is read off Smith
 normal forms: Betti numbers from ranks, torsion from invariant factors.
 
+``reduced_homology`` builds the chain complex of the strong-collapse core of
+its input (``complexes.strong_core``), not of the input itself.  Deleting a
+dominated vertex is a strong collapse and keeps the homotopy type
+(Barmak-Minian, DCG 2012), so the groups, torsion included, are those of the
+input.  The enumeration budget is still checked against the input.  Relative
+homology builds its quotient complex from the pair as given.
+
+Each degree's basis lists its simplex bitmasks in ascending integer order
+(colex order on vertex sets), the order in which they are enumerated.
+
 One structural fast path: whenever the chain groups in degrees q and q-1 are
 the complete skeleta of the ground set (basis counts hit C(n, q+1) and
 C(n, q)), the boundary matrix is the standard simplex boundary, whose rank is
@@ -21,8 +31,12 @@ is the boundary matrix without the cleared columns.  Rank and invariant
 factors therefore do not change.
 
 The composition of consecutive boundaries is checked to vanish on every
-constructed complex, and every homology computation is checked against the
-Euler characteristic of its chain complex.
+constructed complex, exactly and without building it: a composed entry counts
+the +1 paths into its row minus the -1 paths, so each column of the
+composition vanishes iff the sorted lists of rows reached with each sign are
+equal.  The check also rejects any boundary entry other than +-1.  Every
+homology computation is checked against the Euler characteristic of its chain
+complex.
 """
 
 from __future__ import annotations
@@ -30,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .complexes import SimplicialComplex, alexander_dual
+from .complexes import SimplicialComplex, alexander_dual, strong_core
 from .limits import DUALITY_CHECK_CAP, SizeCapError
 from .snf import smith_normal_form
 
@@ -152,8 +166,8 @@ def matches_wedge(profile: HomologyProfile, claim: WedgeClaim):
 class ChainComplex:
     """Augmented simplicial chain complex with integer boundary matrices.
 
-    ``bases[q]`` lists the degree-q simplices as bitmasks in ascending-vertex
-    order; ``columns[q]`` holds the boundary of each basis element as
+    ``bases[q]`` lists the degree-q simplices as bitmasks in ascending integer
+    (colex) order; ``columns[q]`` holds the boundary of each basis element as
     (row index, sign) pairs into ``bases[q-1]``.  The void complex is the
     zero chain complex (no degrees at all).
     """
@@ -227,73 +241,84 @@ class ChainComplex:
         return self.basis_size(q) == comb(n, q + 1)
 
 
-def _mask_sort_key(ground_size):
-    # ascending-vertex tuple order on bitmasks
-    def key(m):
-        verts = []
-        while m:
-            low = m & -m
-            m ^= low
-            verts.append(low.bit_length())
-        return verts
-
-    return key
-
-
 def _assemble(ground, masks_by_degree, dropped=None):
     """Shared assembly for absolute and relative chain complexes.
 
-    ``dropped`` is the set of masks excluded from the bases (the subcomplex
-    of a relative pair); boundary entries into dropped faces are omitted.
+    ``masks_by_degree`` lists each degree's masks in ascending order, which
+    becomes the basis order.  ``dropped`` is the set of masks excluded from
+    the bases (the subcomplex of a relative pair); boundary entries into
+    dropped faces are omitted.
     """
-    key = _mask_sort_key(len(ground))
-    bases = {}
-    index = {}
-    for q, masks in masks_by_degree.items():
-        ordered = sorted(masks, key=key)
-        bases[q] = ordered
-        index[q] = {m: i for i, m in enumerate(ordered)}
+    bases = dict(masks_by_degree)
     columns = {}
+    # face mask -> its two possible entries (row, +1) and (row, -1), for the
+    # degree below only; columns share these pairs instead of making their own
+    faces, below = {}, None
     for q in sorted(bases):
-        if q == -1:
-            continue
-        face_index = index.get(q - 1, {})
-        cols = []
-        for m in bases[q]:
-            col = []
-            sign = 1
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                face = m ^ low
-                i = face_index.get(face)
-                if i is not None:
-                    col.append((i, sign))
-                elif dropped is None or face not in dropped:
-                    raise RuntimeError("boundary face missing from chain basis")
-                sign = -sign
-            cols.append(col)
-        columns[q] = cols
+        if below != q - 1:
+            faces = {}
+        if q != -1:
+            cols = []
+            for m in bases[q]:
+                col = []
+                odd = 0
+                mm = m
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    face = m ^ low
+                    entry = faces.get(face)
+                    if entry is not None:
+                        col.append(entry[odd])
+                    elif dropped is None or face not in dropped:
+                        raise RuntimeError("boundary face missing from chain basis")
+                    odd ^= 1
+                cols.append(col)
+            columns[q] = cols
+        faces = {m: ((i, 1), (i, -1)) for i, m in enumerate(bases[q])}
+        below = q
     cc = ChainComplex(tuple(ground), bases, columns, void=not bases)
     _check_boundary_squares_to_zero(cc)
     return cc
 
 
+def _signed_rows(col, degree):
+    """Split a boundary column into its +1 rows and its -1 rows."""
+    plus, minus = [], []
+    for i, s in col:
+        if s == 1:
+            plus.append(i)
+        elif s == -1:
+            minus.append(i)
+        else:
+            raise RuntimeError(f"boundary entry {s} is not +-1 in degree {degree}")
+    return plus, minus
+
+
 def _check_boundary_squares_to_zero(cc):
+    """Raise unless consecutive boundaries compose to 0, with every entry +-1.
+
+    An entry of the composition is the number of +1 paths into its row minus
+    the number of -1 paths, so a column of the composition vanishes exactly
+    when the rows reached with sign +1 and with sign -1 agree as multisets.
+    """
     for q in sorted(cc.columns):
         if q - 1 not in cc.columns:
             continue
-        lower = cc.columns[q - 1]
+        lower = [_signed_rows(col, q - 1) for col in cc.columns[q - 1]]
         for col in cc.columns[q]:
-            acc = {}
-            for i, s in col:
-                for i2, s2 in lower[i]:
-                    acc[i2] = acc.get(i2, 0) + s * s2
-            if any(acc.values()):
-                raise RuntimeError(
-                    f"boundary composition is nonzero in degree {q}"
-                )
+            up, down = _signed_rows(col, q)
+            plus, minus = [], []
+            for i in up:
+                plus += lower[i][0]
+                minus += lower[i][1]
+            for i in down:
+                plus += lower[i][1]
+                minus += lower[i][0]
+            plus.sort()
+            minus.sort()
+            if plus != minus:
+                raise RuntimeError(f"boundary composition is nonzero in degree {q}")
 
 
 def chain_complex(k: SimplicialComplex, cap=None):
@@ -314,13 +339,14 @@ def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex, cap=None)
     """Quotient chain complex of a pair: basis = simplices of k not in l."""
     if tuple(l.ground) != tuple(k.ground):
         raise ValueError("relative homology needs complexes on one ground set")
-    kmasks = set(k.simplex_masks(cap))
+    kmasks = k.simplex_masks(cap)
     lmasks = set(l.simplex_masks(cap)) if not l.is_void else set()
-    if not lmasks <= kmasks:
+    if not lmasks <= set(kmasks):
         raise ValueError("second complex is not a subcomplex of the first")
     by_degree = {}
-    for m in sorted(kmasks - lmasks):
-        by_degree.setdefault(m.bit_count() - 1, []).append(m)
+    for m in kmasks:
+        if m not in lmasks:
+            by_degree.setdefault(m.bit_count() - 1, []).append(m)
     return _assemble(k.ground, by_degree, dropped=lmasks)
 
 
@@ -368,10 +394,13 @@ def homology_of_chain(cc: ChainComplex):
 def reduced_homology(k: SimplicialComplex, cap=None):
     """Exact reduced homology: Betti numbers and torsion per degree.
 
-    The complex {emptyset} reports one Z in degree -1; the void complex
-    reports the empty, void-flagged profile.
+    The enumeration budget applies to ``k`` itself; the chain complex is then
+    built on its strong-collapse core, which has the same homotopy type.  The
+    complex {emptyset} reports one Z in degree -1; the void complex reports
+    the empty, void-flagged profile.
     """
-    return homology_of_chain(chain_complex(k, cap))
+    k.check_enumeration_budget(cap)
+    return homology_of_chain(chain_complex(strong_core(k), cap))
 
 
 def relative_homology(k: SimplicialComplex, l: SimplicialComplex, cap=None):

@@ -33,8 +33,12 @@ from cutcomplexes import (
     verify_alexander_duality,
     void_complex,
 )
-from cutcomplexes.complexes import empty_simplex_complex
-from cutcomplexes.homology import homology_of_chain, relative_chain_complex
+from cutcomplexes.complexes import empty_simplex_complex, relabel_complex, strong_core
+from cutcomplexes.homology import (
+    _check_boundary_squares_to_zero,
+    homology_of_chain,
+    relative_chain_complex,
+)
 from cutcomplexes.snf import _blocks, _to_rows, _unit_pivots, invariant_chain
 
 # standard 6-vertex, 10-facet triangulation of the real projective plane
@@ -249,6 +253,86 @@ def test_chain_complex_totalcut_c6():
 def test_chain_complex_cap():
     with pytest.raises(SizeCapError):
         chain_complex(full_simplex(range(1, 25)))
+    # the budget applies to the input, although its core is a single vertex
+    with pytest.raises(SizeCapError):
+        reduced_homology(full_simplex(range(1, 25)))
+
+
+def test_boundary_check_catches_corrupted_matrices():
+    def corrupted(q, j, entry):
+        cc = chain_complex(full_simplex([1, 2, 3, 4]))
+        cc.columns[q][j][0] = entry(*cc.columns[q][j][0])
+        return cc
+
+    _check_boundary_squares_to_zero(corrupted(2, 0, lambda i, s: (i, s)))  # intact
+    # a flipped sign, and a row pointing at a face outside the boundary
+    wrong_face = chain_complex(full_simplex([1, 2, 3, 4])).columns[2][-1][0][0]
+    for cc in (
+        corrupted(2, 0, lambda i, s: (i, -s)),
+        corrupted(2, 0, lambda i, s: (wrong_face, s)),
+        corrupted(3, 0, lambda i, s: (i, -s)),
+    ):
+        with pytest.raises(RuntimeError, match="boundary composition is nonzero"):
+            _check_boundary_squares_to_zero(cc)
+    # an entry that is not +-1, in a lower and in the top degree
+    for q in (1, 3):
+        with pytest.raises(RuntimeError, match="is not \\+-1"):
+            _check_boundary_squares_to_zero(corrupted(q, 0, lambda i, s: (i, 2)))
+
+
+# -- strong-collapse core ------------------------------------------------------------
+
+
+def test_strong_core_examples():
+    # a cone collapses onto a single vertex
+    core = strong_core(join(simplex_boundary([1, 2, 3]), full_simplex([9])))
+    assert len(core.ground) == 1 and core.facets == {frozenset(core.ground)}
+    # every vertex link of the 6-vertex RP^2 is a 5-cycle: nothing is dominated
+    k = rp2()
+    assert strong_core(k) is k
+    for k in (void_complex([1, 2]), empty_simplex_complex([1, 2])):
+        assert strong_core(k) is k
+    # the total cut complex of K_{2,2,2} shrinks to a triangle boundary
+    k = total_cut_complex(complete_multipartite(2, 2, 2), 2)
+    core = strong_core(k)
+    assert len(core.ground) == 3 and len(core.facets) == 3
+    assert core.dim() == 1 < k.dim()
+    # collapsing onto the tetrahedron boundary on 3, 5, 6, 7 turns facets into
+    # faces of other facets on the way, and those must be dropped
+    k = SimplicialComplex(
+        range(1, 8), [{1, 2, 3, 4, 5, 6}, {2, 5, 6, 7}, {3, 5, 7}, {3, 6, 7}, {4, 6, 7}]
+    )
+    assert strong_core(k) == simplex_boundary([3, 5, 6, 7])
+    # phantom vertices leave the ground set
+    circle = simplex_boundary([1, 2, 3])
+    assert strong_core(SimplicialComplex([1, 2, 3, 7], circle.facets)) == circle
+
+
+def _grow(k, step):
+    """A cone, a suspension or a join with RP^2 of k, on fresh labels."""
+    top = max(k.ground)
+    if step == "cone":
+        return join(k, full_simplex([top + 1]))
+    if step == "suspension":
+        return join(SimplicialComplex([top + 1, top + 2], [{top + 1}, {top + 2}]), k)
+    return join(k, relabel_complex(rp2(), lambda v: top + v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    random_complexes(max_ground=5),
+    st.lists(st.sampled_from(["cone", "suspension"]), max_size=2),
+    st.booleans(),
+)
+def test_strong_core_matches_unreduced_homology(k, steps, with_rp2):
+    # joining RP^2 first carries its Z/2 through the later cones and suspensions
+    for step in ["rp2"] * with_rp2 + steps:
+        k = _grow(k, step)
+    core = strong_core(k)
+    assert set(core.ground) <= set(k.ground)
+    # the validating constructor rejects facets contained in other facets
+    assert SimplicialComplex(core.ground, core.facets) == core
+    assert reduced_homology(k) == homology_of_chain(chain_complex(k))
 
 
 # -- reduced homology ----------------------------------------------------------------
