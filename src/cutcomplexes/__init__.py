@@ -62,7 +62,6 @@ from .posets import (
     composition_poset,
     compositions,
     order_complex,
-    verify_composition_poset,
 )
 from .report import ReportEntry, VerificationReport
 from .snf import bareiss_rank, smith_normal_form, smith_normal_form_dense

@@ -5,20 +5,18 @@ C(d, k) is the set of ordered k-tuples of positive integers summing to d
 compositions of k+1, ..., m into k parts under the coordinatewise order; the
 augmented variant adds the bottom tuple (1, ..., 1).  At m = d + k - 1 the
 order complex is contractible for k <= d - 1 and a wedge of C(k-1, d-1)
-spheres S^(d-2) for k >= d, which ``verify_composition_poset`` checks by
-computing exact homology.
+spheres S^(d-2) for k >= d (``expected_order_complex_claim``); the ``poset``
+verification suite checks this by computing exact homology.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex
-from .homology import WedgeClaim, matches_wedge, reduced_homology
+from .homology import WedgeClaim
 from .limits import POSET_ELEMENT_CAP, SizeCapError
-from .report import ReportEntry
 
 
 def compositions(d, k):
@@ -129,23 +127,3 @@ def expected_order_complex_claim(d, k):
     if k <= d - 1:
         return WedgeClaim.contractible()
     return WedgeClaim.spheres(d - 2, comb(k - 1, d - 1))
-
-
-def verify_composition_poset(d, k):
-    """Check the order-complex homology of the poset at m = d + k - 1."""
-    if d < 2 or k < 1:
-        raise ValueError(f"verification needs d >= 2 and k >= 1, got d={d}, k={k}")
-    t0 = time.perf_counter()
-    poset = composition_poset(d + k - 1, k)
-    complex_ = order_complex(poset)
-    profile = reduced_homology(complex_)
-    claim = expected_order_complex_claim(d, k)
-    ms = (time.perf_counter() - t0) * 1000
-    return ReportEntry(
-        id=f"poset/order-complex/d{d}/k{k}",
-        expected=claim.describe(),
-        computed=profile.describe(),
-        passed=matches_wedge(profile, claim),
-        ms=ms,
-        note=f"{len(poset)} poset elements",
-    )

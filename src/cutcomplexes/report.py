@@ -1,4 +1,4 @@
-"""Verification report records shared by the poset checks and the theorem suites."""
+"""Verification report records: one entry per recipe the suites run."""
 
 from __future__ import annotations
 

@@ -1,17 +1,31 @@
 """Data-driven verification suites for the graph-complex theorems.
 
-Each suite builds concrete instances (graph family, parameter range), computes
-the exact reduced homology profile, and compares it against the closed-form
-answer: a wedge of spheres, a contractible complex, or the void complex.
-Where the underlying connectivity argument is a skeleton-fullness statement,
-the suite checks that skeleton directly as well; wedge verdicts on at most 12
-ground vertices also re-check Alexander duality against the dual complex.
+Every report entry comes from one recipe type, ``TheoremInstance``, and one
+runner, ``run_instance``.  A recipe names an id, a ground size, a build thunk
+and what is expected:
+
+- a ``WedgeClaim``: the thunk builds a complex, whose exact reduced homology
+  profile is compared against the closed-form answer (a wedge of spheres, a
+  contractible complex, or the void complex).  Where the underlying
+  connectivity argument is a skeleton-fullness statement, the recipe asks for
+  that skeleton to be checked as well; wedge verdicts on at most 12 ground
+  vertices also re-check Alexander duality against the dual complex.
+- a string: the recipe is a predicate (an identity between complexes, a
+  relative-homology vanishing, an informational profile), and the thunk runs
+  it and returns ``(ok, computed text)``.
+
 Homology can certify a homotopy type only up to these surrogates, so that is
 exactly what the reports claim: profile plus skeleton checks, never homotopy
 equivalence itself.
 
-Randomized instances draw from a fixed default seed and record it, so reports
-are reproducible bit for bit.
+A suite is a generator ``recipes(seed)`` that yields recipes lazily.  Making a
+recipe may draw random graphs and read graph tables, but builds no complex and
+computes no homology; that happens only when ``run_instance`` calls the
+thunk.  ``SUITES[name](seed=..., pattern=...)`` runs the recipes whose ids
+match the glob ``pattern`` and skips the rest unbuilt.  Randomized suites draw
+from the seed (``DEFAULT_SEED`` unless given) in a fixed order and record it
+in their notes, so reports are reproducible bit for bit, and a filtered entry
+is identical to the same entry in a full run.
 """
 
 from __future__ import annotations
@@ -20,6 +34,7 @@ import random
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatch
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -46,30 +61,40 @@ from .homology import (
     relative_homology,
     verify_alexander_duality,
 )
-from .posets import verify_composition_poset
+from .posets import composition_poset, expected_order_complex_claim, order_complex
 from .report import ReportEntry, VerificationReport
 
 DEFAULT_SEED = 1729
-# homology-bearing suite recipes stay at or below this many ground vertices
+# every recipe's ground size stays at or below this many vertices
 INSTANCE_GROUND_CAP = 14
+# random graphs drawn by the duality suite
+DUALITY_GRAPHS = 50
 
 
-# -- instance machinery ---------------------------------------------------------
+# -- recipes and the runner -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TheoremInstance:
-    """A recipe for one claim-shaped check.
+    """A recipe for one report entry.
 
-    ``skeleton_level`` requests an ``is_skeleton_full`` rider at that level
-    (the connectivity certificate the corresponding proof uses);
-    ``duality_rider`` re-checks Alexander duality on instances that fit.
+    With a ``WedgeClaim`` as ``expected``, ``build()`` returns the complex to
+    check; ``skeleton_level`` requests an ``is_skeleton_full`` rider at that
+    level (the connectivity certificate the corresponding proof uses), and
+    ``duality_rider`` re-checks Alexander duality on instances that fit.  With
+    a string as ``expected``, the recipe is a predicate: ``build()`` returns
+    ``(ok, computed text)`` and no rider runs.
+
+    ``ground_size`` is the number of vertices the recipe works on, held to
+    ``INSTANCE_GROUND_CAP``.  For a composition-poset recipe it is the
+    composition size m = d + k - 1, not the number of poset elements (the
+    order complex's vertices, bounded by ``POSET_ELEMENT_CAP`` instead).
     """
 
     id: str
     ground_size: int
-    build: object  # () -> SimplicialComplex
-    expected: WedgeClaim
+    build: object  # () -> SimplicialComplex, or () -> (ok, computed) for a predicate
+    expected: object  # WedgeClaim, or the text a predicate's check stands for
     skeleton_level: int = None
     duality_rider: bool = False
     note: str = ""
@@ -91,27 +116,32 @@ def run_instance(inst: TheoremInstance):
             f"suite cap of {INSTANCE_GROUND_CAP}"
         )
     t0 = time.perf_counter()
-    k = inst.build()
-    profile = reduced_homology(k)
-    passed = matches_wedge(profile, inst.expected)
-    computed = profile.describe()
     note = inst.note
-    if passed and inst.skeleton_level is not None:
-        if not is_skeleton_full(k, inst.skeleton_level):
-            passed = False
-            computed += f" [skeleton not full at level {inst.skeleton_level}]"
-        else:
-            note = _append_note(note, f"sk_{inst.skeleton_level} full")
-    if passed and inst.duality_rider and len(k.ground) <= 12:
-        if not _duality_holds(k, profile):
-            passed = False
-            computed += " [Alexander duality violated]"
-        else:
-            note = _append_note(note, "duality ok")
+    if isinstance(inst.expected, str):
+        expected = inst.expected
+        passed, computed = inst.build()
+    else:
+        expected = inst.expected.describe()
+        k = inst.build()
+        profile = reduced_homology(k)
+        passed = matches_wedge(profile, inst.expected)
+        computed = profile.describe()
+        if passed and inst.skeleton_level is not None:
+            if not is_skeleton_full(k, inst.skeleton_level):
+                passed = False
+                computed += f" [skeleton not full at level {inst.skeleton_level}]"
+            else:
+                note = _append_note(note, f"sk_{inst.skeleton_level} full")
+        if passed and inst.duality_rider and len(k.ground) <= 12:
+            if not _duality_holds(k, profile):
+                passed = False
+                computed += " [Alexander duality violated]"
+            else:
+                note = _append_note(note, "duality ok")
     ms = (time.perf_counter() - t0) * 1000
     return ReportEntry(
         id=inst.id,
-        expected=inst.expected.describe(),
+        expected=expected,
         computed=computed,
         passed=passed,
         ms=ms,
@@ -123,14 +153,15 @@ def _append_note(note, extra):
     return f"{note}; {extra}" if note else extra
 
 
-def _predicate_entry(id, runner, expected="holds", note=""):
-    """Run a boolean check with timing; ``runner`` returns (ok, computed_text)."""
-    t0 = time.perf_counter()
-    ok, computed = runner()
-    ms = (time.perf_counter() - t0) * 1000
-    return ReportEntry(
-        id=id, expected=expected, computed=computed, passed=ok, ms=ms, note=note
-    )
+def run_suite(recipes, seed=DEFAULT_SEED, pattern=None):
+    """Run the recipes of ``recipes(seed)`` whose ids match the glob ``pattern``
+    (all of them when it is None), one at a time as the generator yields them;
+    recipes that do not match are never built."""
+    report = VerificationReport()
+    for inst in recipes(seed):
+        if pattern is None or fnmatch(inst.id, pattern):
+            report.add(run_instance(inst))
+    return report
 
 
 # -- auxiliary graphs -----------------------------------------------------------
@@ -164,21 +195,13 @@ def random_chordal_graph(n, rng):
     return gr.Graph(n, edges)
 
 
-def _partitions_at_least_two_parts(total):
-    """Nondecreasing partitions of ``total`` into >= 2 positive parts."""
-    out = []
-
-    def rec(remaining, minimum, prefix):
-        for part in range(minimum, remaining + 1):
-            rest = remaining - part
-            if rest == 0:
-                if len(prefix) >= 1:
-                    out.append(prefix + (part,))
-            elif rest >= part:
-                rec(rest, part, prefix + (part,))
-
-    rec(total, 1, ())
-    return [p for p in out if len(p) >= 2]
+def _partitions(total, smallest=1):
+    """Nondecreasing partitions of ``total`` into parts of at least ``smallest``."""
+    if total == 0:
+        yield ()
+    for part in range(smallest, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part,) + rest
 
 
 # -- closed-form expected values --------------------------------------------------
@@ -282,173 +305,127 @@ def psi_coloring(d, n):
 # -- suites -----------------------------------------------------------------------
 
 
-def suite_cycles():
+def cycle_recipes(seed):
     """Cycle table: total cut complexes S^(n-2d), bounded independence S^(2d-3)."""
-    report = VerificationReport()
     for d in (2, 3, 4):
         for n in range(2 * d, 14):
             g = gr.cycle(n)
-            report.add(
-                run_instance(
-                    TheoremInstance(
-                        id=f"cycles/d{d}/n{n:02d}/totalcut",
-                        ground_size=n,
-                        build=lambda g=g, d=d: total_cut_complex(g, d),
-                        expected=WedgeClaim.spheres(n - 2 * d),
-                        duality_rider=True,
-                    )
-                )
+            yield TheoremInstance(
+                id=f"cycles/d{d}/n{n:02d}/totalcut",
+                ground_size=n,
+                build=lambda g=g, d=d: total_cut_complex(g, d),
+                expected=WedgeClaim.spheres(n - 2 * d),
+                duality_rider=True,
             )
-            report.add(
-                run_instance(
-                    TheoremInstance(
-                        id=f"cycles/d{d}/n{n:02d}/bi",
-                        ground_size=n,
-                        build=lambda g=g, d=d: bounded_independence_complex(g, d),
-                        expected=WedgeClaim.spheres(2 * d - 3),
-                        skeleton_level=d - 2,
-                    )
-                )
+            yield TheoremInstance(
+                id=f"cycles/d{d}/n{n:02d}/bi",
+                ground_size=n,
+                build=lambda g=g, d=d: bounded_independence_complex(g, d),
+                expected=WedgeClaim.spheres(2 * d - 3),
+                skeleton_level=d - 2,
             )
-    return report
 
 
-def suite_cycle_powers():
+def cycle_power_recipes(seed):
     """Cycle powers: the stable sphere ranges, the tight n = (r+1)d instances,
     and the full case split for the 2-total cut complex."""
-    report = VerificationReport()
     r = 2
     for d in (2, 3):
         for p in (1, 2):
             for n in range(2 * r * d, 14):
                 g = gr.graph_power(gr.cycle(n), p)
-                report.add(
-                    run_instance(
-                        TheoremInstance(
-                            id=f"cyclepowers/stable/d{d}/p{p}/n{n:02d}/totalcut",
-                            ground_size=n,
-                            build=lambda g=g, d=d: total_cut_complex(g, d),
-                            expected=WedgeClaim.spheres(n - 2 * d),
-                            duality_rider=True,
-                        )
-                    )
+                yield TheoremInstance(
+                    id=f"cyclepowers/stable/d{d}/p{p}/n{n:02d}/totalcut",
+                    ground_size=n,
+                    build=lambda g=g, d=d: total_cut_complex(g, d),
+                    expected=WedgeClaim.spheres(n - 2 * d),
+                    duality_rider=True,
                 )
-                report.add(
-                    run_instance(
-                        TheoremInstance(
-                            id=f"cyclepowers/stable/d{d}/p{p}/n{n:02d}/bi",
-                            ground_size=n,
-                            build=lambda g=g, d=d: bounded_independence_complex(g, d),
-                            expected=WedgeClaim.spheres(2 * d - 3),
-                            skeleton_level=d - 2,
-                        )
-                    )
+                yield TheoremInstance(
+                    id=f"cyclepowers/stable/d{d}/p{p}/n{n:02d}/bi",
+                    ground_size=n,
+                    build=lambda g=g, d=d: bounded_independence_complex(g, d),
+                    expected=WedgeClaim.spheres(2 * d - 3),
+                    skeleton_level=d - 2,
                 )
     for rr, d in ((2, 2), (3, 2), (2, 3)):
         n = (rr + 1) * d
         g = gr.graph_power(gr.cycle(n), rr)
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"cyclepowers/tight/r{rr}/d{d}/n{n:02d}",
-                    ground_size=n,
-                    build=lambda g=g, d=d: total_cut_complex(g, d),
-                    expected=WedgeClaim.spheres(rr - 1),
-                    duality_rider=True,
-                    note=f"n = (r+1)d with r={rr}",
-                )
-            )
+        yield TheoremInstance(
+            id=f"cyclepowers/tight/r{rr}/d{d}/n{n:02d}",
+            ground_size=n,
+            build=lambda g=g, d=d: total_cut_complex(g, d),
+            expected=WedgeClaim.spheres(rr - 1),
+            duality_rider=True,
+            note=f"n = (r+1)d with r={rr}",
         )
     # conjectural region for squared cycles (3d <= n < 4d-1, d >= 3): the
     # profile is computed and reported but nothing is asserted
     for d, n in ((3, 9), (3, 10), (4, 12), (4, 13)):
         g = gr.graph_power(gr.cycle(n), 2)
-        t0 = time.perf_counter()
-        profile = reduced_homology(total_cut_complex(g, d))
-        report.add(
-            ReportEntry(
-                id=f"cyclepowers/conjectural/d{d}/n{n:02d}",
-                expected="(informational)",
-                computed=profile.describe(),
-                passed=True,
-                ms=(time.perf_counter() - t0) * 1000,
-                note="unresolved parameter region; profile reported, not asserted",
-            )
+        yield TheoremInstance(
+            id=f"cyclepowers/conjectural/d{d}/n{n:02d}",
+            ground_size=n,
+            build=lambda g=g, d=d: (
+                True, reduced_homology(total_cut_complex(g, d)).describe()
+            ),
+            expected="(informational)",
+            note="unresolved parameter region; profile reported, not asserted",
         )
     for rr, lo, hi in ((3, 8, 13), (4, 10, 13)):
         # the intermediate range 2r+3 <= n <= 3r-1 can be empty; say so
         if 2 * rr + 3 > 3 * rr - 1:
-            report.add(
-                ReportEntry(
-                    id=f"cyclepowers/case/r{rr}/middle-range",
-                    expected="range empty",
-                    computed="range empty",
-                    passed=True,
-                    ms=0.0,
-                    note=f"no n with 2r+3 <= n <= 3r-1 for r={rr}; skipped explicitly",
-                )
+            yield TheoremInstance(
+                id=f"cyclepowers/case/r{rr}/middle-range",
+                ground_size=0,
+                build=lambda: (True, "range empty"),
+                expected="range empty",
+                note=f"no n with 2r+3 <= n <= 3r-1 for r={rr}; skipped explicitly",
             )
         for n in range(lo, hi + 1):
             g = gr.graph_power(gr.cycle(n), rr)
             claim, label = cycle_power_cut_case(n, rr)
-            report.add(
-                run_instance(
-                    TheoremInstance(
-                        id=f"cyclepowers/case/r{rr}/n{n:02d}",
-                        ground_size=n,
-                        build=lambda g=g: total_cut_complex(g, 2),
-                        expected=claim,
-                        skeleton_level=2 if n >= 2 * rr + 3 else None,
-                        duality_rider=True,
-                        note=f"case ({label})",
-                    )
-                )
+            yield TheoremInstance(
+                id=f"cyclepowers/case/r{rr}/n{n:02d}",
+                ground_size=n,
+                build=lambda g=g: total_cut_complex(g, 2),
+                expected=claim,
+                skeleton_level=2 if n >= 2 * rr + 3 else None,
+                duality_rider=True,
+                note=f"case ({label})",
             )
-    return report
 
 
-def suite_multipartite():
+def multipartite_recipes(seed):
     """Complete multipartite graphs, every part list with at most 12 vertices."""
-    report = VerificationReport()
     for total in range(2, 13):
-        for parts in _partitions_at_least_two_parts(total):
+        for parts in _partitions(total):
+            if len(parts) < 2:
+                continue
             g = gr.complete_multipartite(*parts)
             tag = "+".join(map(str, parts))
             for d in (2, 3):
-                bi_claim = multipartite_bi_claim(parts, d)
-                report.add(
-                    run_instance(
-                        TheoremInstance(
-                            id=f"multipartite/d{d}/{tag}/bi",
-                            ground_size=total,
-                            build=lambda g=g, d=d: bounded_independence_complex(g, d),
-                            expected=bi_claim,
-                            skeleton_level=d - 2,
-                        )
-                    )
+                yield TheoremInstance(
+                    id=f"multipartite/d{d}/{tag}/bi",
+                    ground_size=total,
+                    build=lambda g=g, d=d: bounded_independence_complex(g, d),
+                    expected=multipartite_bi_claim(parts, d),
+                    skeleton_level=d - 2,
                 )
                 cut_claim = multipartite_cut_claim(parts, d)
-                wants_sk2 = (
-                    cut_claim.shape == "wedge" and cut_claim.sphere_dim >= 2
+                wants_sk2 = cut_claim.shape == "wedge" and cut_claim.sphere_dim >= 2
+                yield TheoremInstance(
+                    id=f"multipartite/d{d}/{tag}/totalcut",
+                    ground_size=total,
+                    build=lambda g=g, d=d: total_cut_complex(g, d),
+                    expected=cut_claim,
+                    skeleton_level=2 if wants_sk2 else None,
+                    duality_rider=cut_claim.shape == "wedge",
                 )
-                report.add(
-                    run_instance(
-                        TheoremInstance(
-                            id=f"multipartite/d{d}/{tag}/totalcut",
-                            ground_size=total,
-                            build=lambda g=g, d=d: total_cut_complex(g, d),
-                            expected=cut_claim,
-                            skeleton_level=2 if wants_sk2 else None,
-                            duality_rider=cut_claim.shape == "wedge",
-                        )
-                    )
-                )
-    return report
 
 
-def suite_products():
+def product_recipes(seed):
     """Grids (cartesian products of paths) and rook graphs (of complete graphs)."""
-    report = VerificationReport()
     dims_list = [
         (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4), (2, 2, 2), (2, 2, 3),
     ]
@@ -459,60 +436,42 @@ def suite_products():
         tag = "x".join(map(str, dims))
         grid_g = gr.grid(*dims)
         count = grid_wedge_count(dims)
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"products/grid/{tag}/bi",
-                    ground_size=n,
-                    build=lambda g=grid_g: bounded_independence_complex(g, 2),
-                    expected=WedgeClaim.spheres(1, count),
-                    note=f"cycle rank {count}",
-                )
-            )
+        yield TheoremInstance(
+            id=f"products/grid/{tag}/bi",
+            ground_size=n,
+            build=lambda g=grid_g: bounded_independence_complex(g, 2),
+            expected=WedgeClaim.spheres(1, count),
+            note=f"cycle rank {count}",
         )
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"products/grid/{tag}/totalcut",
-                    ground_size=n,
-                    build=lambda g=grid_g: total_cut_complex(g, 2),
-                    expected=WedgeClaim.spheres(n - 4, count),
-                    skeleton_level=None if dims == (2, 2) else 2,
-                    duality_rider=True,
-                )
-            )
+        yield TheoremInstance(
+            id=f"products/grid/{tag}/totalcut",
+            ground_size=n,
+            build=lambda g=grid_g: total_cut_complex(g, 2),
+            expected=WedgeClaim.spheres(n - 4, count),
+            skeleton_level=None if dims == (2, 2) else 2,
+            duality_rider=True,
         )
         rook_g = gr.rook(*dims)
         fcount = rook_wedge_count(dims)
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"products/rook/{tag}/bi",
-                    ground_size=n,
-                    build=lambda g=rook_g: bounded_independence_complex(g, 2),
-                    expected=WedgeClaim.spheres(1, fcount),
-                )
-            )
+        yield TheoremInstance(
+            id=f"products/rook/{tag}/bi",
+            ground_size=n,
+            build=lambda g=rook_g: bounded_independence_complex(g, 2),
+            expected=WedgeClaim.spheres(1, fcount),
         )
         rook_sk2 = len(dims) >= 3 or min(dims) >= 3
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"products/rook/{tag}/totalcut",
-                    ground_size=n,
-                    build=lambda g=rook_g: total_cut_complex(g, 2),
-                    expected=WedgeClaim.spheres(n - 4, fcount),
-                    skeleton_level=2 if rook_sk2 else None,
-                    duality_rider=True,
-                )
-            )
+        yield TheoremInstance(
+            id=f"products/rook/{tag}/totalcut",
+            ground_size=n,
+            build=lambda g=rook_g: total_cut_complex(g, 2),
+            expected=WedgeClaim.spheres(n - 4, fcount),
+            skeleton_level=2 if rook_sk2 else None,
+            duality_rider=True,
         )
-    return report
 
 
-def suite_disjoint_unions():
+def union_recipes(seed):
     """Disjoint unions of short path powers: the composition-counting wedge law."""
-    report = VerificationReport()
     families = [
         # (d, component descriptors, tag)
         (2, ["path:3", "path:4"], "P3+P4"),
@@ -536,33 +495,24 @@ def suite_disjoint_unions():
             claim = WedgeClaim.contractible()
         else:
             claim = WedgeClaim.spheres(d - 2, comb(k - 1, d - 1))
-        report.add(
-            run_instance(
-                TheoremInstance(
-                    id=f"unions/bi/d{d}/k{k}/{tag}",
-                    ground_size=g.n,
-                    build=lambda g=g, d=d: bounded_independence_complex(g, d),
-                    expected=claim,
-                    skeleton_level=d - 2 if claim.shape == "wedge" and d >= 3 else None,
-                    note=f"{k} chordal components, n={g.n}",
-                )
-            )
+        yield TheoremInstance(
+            id=f"unions/bi/d{d}/k{k}/{tag}",
+            ground_size=g.n,
+            build=lambda g=g, d=d: bounded_independence_complex(g, d),
+            expected=claim,
+            skeleton_level=d - 2 if claim.shape == "wedge" and d >= 3 else None,
+            note=f"{k} chordal components, n={g.n}",
         )
     five_edges = gr.disjoint_union(*[gr.path(2)] * 5)
-    report.add(
-        run_instance(
-            TheoremInstance(
-                id="unions/totalcut/d2/k5/5xP2",
-                ground_size=10,
-                build=lambda: total_cut_complex(five_edges, 2),
-                expected=WedgeClaim.spheres(7, 4),
-                skeleton_level=2,
-                duality_rider=True,
-                note="k = d+3 components",
-            )
-        )
+    yield TheoremInstance(
+        id="unions/totalcut/d2/k5/5xP2",
+        ground_size=10,
+        build=lambda: total_cut_complex(five_edges, 2),
+        expected=WedgeClaim.spheres(7, 4),
+        skeleton_level=2,
+        duality_rider=True,
+        note="k = d+3 components",
     )
-    return report
 
 
 # -- structural suite -------------------------------------------------------------
@@ -602,8 +552,14 @@ def _cone(g):
     return gr.Graph(apex, edges)
 
 
-def _domination_entries(rng):
-    entries = []
+def _seeded(name, note, seed):
+    """Notes of recipes on randomly drawn graphs (named rand*/interval*) record the seed."""
+    if name.startswith(("rand", "interval")):
+        return _append_note(note, f"seed={seed}")
+    return note
+
+
+def _domination_recipes(rng, seed):
     closed_instances = [("cone-C5", _cone(gr.cycle(5))), ("cone-P4", _cone(gr.path(4))),
                         ("K5", gr.complete(5))]
     open_instances = [("C4", gr.cycle(4)), ("K23", gr.complete_multipartite(2, 3)),
@@ -628,13 +584,12 @@ def _domination_entries(rng):
                 ok = _profiles_equal(lhs, rhs)
                 return ok, f"{lhs.describe()} vs {rhs.describe()}"
 
-            entries.append(
-                _predicate_entry(
-                    f"structural/domination/closed/{name}/d{d}",
-                    runner,
-                    expected="profiles equal after deleting the dominated vertex",
-                    note=f"N[{v}] within N[{u}]",
-                )
+            yield TheoremInstance(
+                id=f"structural/domination/closed/{name}/d{d}",
+                ground_size=g.n,
+                build=runner,
+                expected="profiles equal after deleting the dominated vertex",
+                note=_seeded(name, f"N[{v}] within N[{u}]", seed),
             )
     for name, g in open_instances:
         pair = _open_dominated_pair(g)
@@ -657,19 +612,16 @@ def _domination_entries(rng):
                 ok = lhs == rhs
                 return ok, f"{lhs} vs {rhs}"
 
-            entries.append(
-                _predicate_entry(
-                    f"structural/domination/open/{name}/d{d}",
-                    runner,
-                    expected="Betti numbers split off the suspended link",
-                    note=f"N({v}) within N({u})",
-                )
+            yield TheoremInstance(
+                id=f"structural/domination/open/{name}/d{d}",
+                ground_size=g.n,
+                build=runner,
+                expected="Betti numbers split off the suspended link",
+                note=_seeded(name, f"N({v}) within N({u})", seed),
             )
-    return entries
 
 
-def _chordal_entries(rng):
-    entries = []
+def _chordal_recipes(rng, seed):
     instances = [
         ("P6", gr.path(6)),
         ("P7^2", gr.graph_power(gr.path(7), 2)),
@@ -688,14 +640,13 @@ def _chordal_entries(rng):
                 profile = reduced_homology(bounded_independence_complex(g, d))
                 return profile.is_trivial, profile.describe()
 
-            entries.append(
-                _predicate_entry(
-                    f"structural/chordal/{name}/d{d}",
-                    runner,
-                    expected="0",
-                )
+            yield TheoremInstance(
+                id=f"structural/chordal/{name}/d{d}",
+                ground_size=g.n,
+                build=runner,
+                expected="0",
+                note=_seeded(name, "", seed),
             )
-    return entries
 
 
 def _restore_labels(sub):
@@ -720,8 +671,7 @@ def _delcom_expected_pieces(g, v, d):
     return cut_minus_v, joined
 
 
-def _delcom_entries():
-    entries = []
+def _deletion_recipes():
     instances = [(f"C{n}", gr.cycle(n)) for n in range(4, 9)]
     instances += [(f"C{n}^2", gr.graph_power(gr.cycle(n), 2)) for n in range(5, 9)]
     instances += [("C8^3", gr.graph_power(gr.cycle(8), 3))]
@@ -766,19 +716,16 @@ def _delcom_entries():
                     ok = deleted.facets == expected.facets
                     return ok, "del(v) = union of the two pieces" if ok else "mismatch"
 
-                entries.append(
-                    _predicate_entry(
-                        f"structural/deletion/{name}/d{d}/v{v}",
-                        runner,
-                        expected=f"case ({case}) set identity",
-                        note=f"case ({case})",
-                    )
+                yield TheoremInstance(
+                    id=f"structural/deletion/{name}/d{d}/v{v}",
+                    ground_size=g.n,
+                    build=runner,
+                    expected=f"case ({case}) set identity",
+                    note=f"case ({case})",
                 )
-    return entries
 
 
-def _suspension_entries():
-    entries = []
+def _suspension_recipes():
     instances = [
         ("C6", gr.cycle(6), 2),
         ("C7", gr.cycle(7), 2),
@@ -804,18 +751,15 @@ def _suspension_entries():
             ok = whole.groups == shifted.groups
             return ok, f"{whole.describe()} vs suspended {shifted.describe()}"
 
-        entries.append(
-            _predicate_entry(
-                f"structural/suspension/{name}/d{d}",
-                runner,
-                expected="profile equals the suspended intersection profile",
-            )
+        yield TheoremInstance(
+            id=f"structural/suspension/{name}/d{d}",
+            ground_size=g.n,
+            build=runner,
+            expected="profile equals the suspended intersection profile",
         )
-    return entries
 
 
-def _pair_entries(rng):
-    entries = []
+def _pair_recipes(rng, seed):
     for i in range(6):
         n = rng.randint(6, 9)
         g = random_graph(n, rng.choice([0.3, 0.5]), rng)
@@ -827,13 +771,12 @@ def _pair_entries(rng):
                 bad = [q for q, b, t in rel.groups if q <= d - 2 and (b or t)]
                 return not bad, rel.describe()
 
-            entries.append(
-                _predicate_entry(
-                    f"structural/pairs/bi-step/rand{i}/d{d}",
-                    runner,
-                    expected=f"relative homology zero through degree {d - 2}",
-                    note=f"n={g.n}",
-                )
+            yield TheoremInstance(
+                id=f"structural/pairs/bi-step/rand{i}/d{d}",
+                ground_size=g.n,
+                build=runner,
+                expected=f"relative homology zero through degree {d - 2}",
+                note=f"n={g.n}; seed={seed}",
             )
     for n in range(5, 11):
         def runner(n=n):
@@ -844,18 +787,15 @@ def _pair_entries(rng):
             bad = [q for q, b, t in rel.groups if q <= 2 and (b or t)]
             return not bad, rel.describe()
 
-        entries.append(
-            _predicate_entry(
-                f"structural/pairs/power-step/C{n}/d3",
-                runner,
-                expected="relative homology zero through degree 2",
-            )
+        yield TheoremInstance(
+            id=f"structural/pairs/power-step/C{n}/d3",
+            ground_size=n,
+            build=runner,
+            expected="relative homology zero through degree 2",
         )
-    return entries
 
 
-def _girth_entries():
-    entries = []
+def _girth_recipes():
     instances = [
         ("petersen", petersen(), 2),
         ("C08-d2", gr.cycle(8), 2),
@@ -877,19 +817,16 @@ def _girth_entries():
             ok = is_skeleton_full(total_cut_complex(g, d), k)
             return ok, f"sk_{k} full" if ok else f"sk_{k} NOT full"
 
-        entries.append(
-            _predicate_entry(
-                f"structural/girth/{name}/k{k}",
-                runner,
-                expected=f"skeleton full at level {k}",
-                note=f"girth {gr.girth(g)}, n={g.n}",
-            )
+        yield TheoremInstance(
+            id=f"structural/girth/{name}/k{k}",
+            ground_size=g.n,
+            build=runner,
+            expected=f"skeleton full at level {k}",
+            note=f"girth {gr.girth(g)}, n={g.n}",
         )
-    return entries
 
 
-def _coloring_entries():
-    entries = []
+def _coloring_recipes():
     d = 3
     target = gr.cycle(2 * d)
     target_table = target.alpha_table()
@@ -914,43 +851,32 @@ def _coloring_entries():
                     checked += 1
                 return True, f"{checked} simplices map to simplices"
 
-            entries.append(
-                _predicate_entry(
-                    f"structural/coloring/n{n}/p{p}",
-                    runner,
-                    expected="every simplex image is a simplex",
-                    note=f"coloring onto C_{2*d}",
-                )
+            yield TheoremInstance(
+                id=f"structural/coloring/n{n}/p{p}",
+                ground_size=n,
+                build=runner,
+                expected="every simplex image is a simplex",
+                note=f"coloring onto C_{2*d}",
             )
-    return entries
 
 
-def suite_structural(seed=DEFAULT_SEED):
+def structural_recipes(seed):
     """Domination, chordality, deletion identities, suspension, pairs, girth,
     and the run-coloring simpliciality check."""
     rng = random.Random(seed)
-    report = VerificationReport()
-    for e in _domination_entries(rng):
-        e.note = _append_note(e.note, f"seed={seed}") if "rand" in e.id else e.note
-        report.add(e)
-    for e in _chordal_entries(rng):
-        e.note = _append_note(e.note, f"seed={seed}") if "interval" in e.id else e.note
-        report.add(e)
-    report.extend(_delcom_entries())
-    report.extend(_suspension_entries())
-    for e in _pair_entries(rng):
-        e.note = _append_note(e.note, f"seed={seed}") if "rand" in e.id else e.note
-        report.add(e)
-    report.extend(_girth_entries())
-    report.extend(_coloring_entries())
-    return report
+    yield from _domination_recipes(rng, seed)
+    yield from _chordal_recipes(rng, seed)
+    yield from _deletion_recipes()
+    yield from _suspension_recipes()
+    yield from _pair_recipes(rng, seed)
+    yield from _girth_recipes()
+    yield from _coloring_recipes()
 
 
-def suite_duality(seed=DEFAULT_SEED, graphs_count=50):
+def duality_recipes(seed):
     """Alexander duality on seeded random graphs, every valid d."""
     rng = random.Random(seed)
-    report = VerificationReport()
-    for i in range(graphs_count):
+    for i in range(DUALITY_GRAPHS):
         n = rng.randint(4, 9)
         g = random_graph(n, rng.choice([0.25, 0.4, 0.55, 0.7]), rng)
         alpha = g.alpha_table()[(1 << n) - 1]
@@ -959,69 +885,65 @@ def suite_duality(seed=DEFAULT_SEED, graphs_count=50):
                 ok = verify_alexander_duality(bounded_independence_complex(g, d))
                 return ok, "duality holds" if ok else "duality violated"
 
-            report.add(
-                _predicate_entry(
-                    f"duality/rand{i:02d}/n{n}/d{d}",
-                    runner,
-                    expected="H~_i(K) = H~^(n-i-3)(K*)",
-                    note=f"seed={seed}, m={g.num_edges()}",
-                )
+            yield TheoremInstance(
+                id=f"duality/rand{i:02d}/n{n}/d{d}",
+                ground_size=n,
+                build=runner,
+                expected="H~_i(K) = H~^(n-i-3)(K*)",
+                note=f"seed={seed}, m={g.num_edges()}",
             )
         if alpha < 2:
-            report.add(
-                ReportEntry(
-                    id=f"duality/rand{i:02d}/n{n}/no-valid-d",
-                    expected="no d in range",
-                    computed=f"independence number {alpha}",
-                    passed=True,
-                    ms=0.0,
-                    note=f"seed={seed}",
-                )
+            yield TheoremInstance(
+                id=f"duality/rand{i:02d}/n{n}/no-valid-d",
+                ground_size=n,
+                build=lambda alpha=alpha: (True, f"independence number {alpha}"),
+                expected="no d in range",
+                note=f"seed={seed}",
             )
-    return report
 
 
-def suite_posets():
-    """Order complexes of composition posets across the verified grid."""
-    report = VerificationReport()
+def poset_recipes(seed):
+    """Order complexes of the composition posets at m = d + k - 1,
+    2 <= d <= 4, 1 <= k <= 5."""
     for d in range(2, 5):
         for k in range(1, 6):
-            report.add(verify_composition_poset(d, k))
-    return report
+            poset = composition_poset(d + k - 1, k)
+            yield TheoremInstance(
+                id=f"poset/order-complex/d{d}/k{k}",
+                ground_size=d + k - 1,
+                build=lambda poset=poset: order_complex(poset),
+                expected=expected_order_complex_claim(d, k),
+                note=f"{len(poset)} poset elements",
+            )
 
 
-SUITES = {
-    "cycles": suite_cycles,
-    "cyclepowers": suite_cycle_powers,
-    "multipartite": suite_multipartite,
-    "products": suite_products,
-    "unions": suite_disjoint_unions,
-    "structural": suite_structural,
-    "duality": suite_duality,
-    "poset": suite_posets,
+RECIPES = {
+    "cycles": cycle_recipes,
+    "cyclepowers": cycle_power_recipes,
+    "multipartite": multipartite_recipes,
+    "products": product_recipes,
+    "unions": union_recipes,
+    "structural": structural_recipes,
+    "duality": duality_recipes,
+    "poset": poset_recipes,
 }
+# SUITES[name](seed=..., pattern=...) -> VerificationReport
+SUITES = {name: partial(run_suite, recipes) for name, recipes in RECIPES.items()}
 
 
 def run_all(suite=None, filter_pattern=None, seed=DEFAULT_SEED):
     """Run one suite or all of them; entries are sorted by id for determinism.
 
-    ``filter_pattern`` is a glob matched against entry ids; matching nothing
-    is reported as an error to catch typos.
+    ``filter_pattern`` is a glob matched against recipe ids before anything is
+    built; matching nothing is reported as an error to catch typos.
     """
     if suite not in (None, "all") and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     names = sorted(SUITES) if suite in (None, "all") else [suite]
     report = VerificationReport()
     for name in names:
-        fn = SUITES[name]
-        if name in ("structural", "duality"):
-            report.extend(fn(seed=seed).entries)
-        else:
-            report.extend(fn().entries)
-    if filter_pattern:
-        kept = [e for e in report.entries if fnmatch(e.id, filter_pattern)]
-        if not kept:
-            raise ValueError(f"filter {filter_pattern!r} matched no suite entries")
-        report.entries = kept
+        report.extend(SUITES[name](seed=seed, pattern=filter_pattern or None).entries)
+    if filter_pattern and not report.entries:
+        raise ValueError(f"filter {filter_pattern!r} matched no suite entries")
     report.sort()
     return report

@@ -5,6 +5,8 @@ criterion prints a single pass/fail line with its runtime and is held to the
 stated budget.
 """
 
+import hashlib
+import json
 import time
 
 from cutcomplexes import (
@@ -28,6 +30,25 @@ BUDGETS_SECONDS = {
     "poset": 60,
 }
 
+# sha256 of json.dumps([[id, expected, computed, passed, note], ...]) over each
+# suite's report at the default seed; timings stay out.  Any change to an id,
+# a claim, a computed profile, a verdict or a note shows up here.
+REPORT_DIGESTS = {
+    "cycles": "5344250c1004cdceafa7897deb40e1b4cc4d9aaf029a5ec9e3b7f4042717d95b",
+    "cyclepowers": "69fe37de543477b1fb37646256783116516b6174e7f901aa7558c69f4d2c025c",
+    "multipartite": "8e4a358bf673899ba63914337aece70ac003fddd1729d98d13167a2d7b372b95",
+    "products": "18c84b3c33fdd8edda4ac92d3951dfb83b02959e5aeaf9afb56aed3a092d1217",
+    "unions": "49b24d865a1298c26925b659fd3b14b62e73c1d2897f211e7441e867f706d032",
+    "duality": "e223f133c796ec045e41b00709f2312d7b821e4d8e908828feea4c3be1b81b3e",
+    "structural": "43a190fd2056f1427bb49c12712aa9d62710438655a47ec764764be4deb587fa",
+    "poset": "76ec473a549f2948f113445cb2afb9c6bb48e8e4cf4f24a04371b7883d8d545a",
+}
+
+
+def report_digest(report):
+    rows = [[e.id, e.expected, e.computed, e.passed, e.note] for e in report.entries]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
 
 def run_suite_criterion(number, suite, description):
     t0 = time.perf_counter()
@@ -42,6 +63,9 @@ def run_suite_criterion(number, suite, description):
     for entry in report.failed_entries()[:20]:
         print(f"    failed: {entry.id} expected {entry.expected} got {entry.computed}")
     assert ok, f"criterion {number} has failing entries"
+    assert report_digest(report) == REPORT_DIGESTS[suite], (
+        f"criterion {number}: the {suite} report differs from the pinned one"
+    )
     budget = BUDGETS_SECONDS[suite]
     assert elapsed < budget, f"criterion {number} took {elapsed:.1f}s (> {budget}s)"
     return report

@@ -10,7 +10,6 @@ from cutcomplexes import (
     compositions,
     order_complex,
     reduced_homology,
-    verify_composition_poset,
 )
 from cutcomplexes.posets import expected_order_complex_claim, maximal_chains
 
@@ -100,13 +99,6 @@ def test_expected_claims():
     assert claim.sphere_dim == 0 and claim.count == 2
     claim = expected_order_complex_claim(3, 3)
     assert claim.sphere_dim == 1 and claim.count == 1
-
-
-def test_verification_grid():
-    for d in range(2, 5):
-        for k in range(1, 6):
-            entry = verify_composition_poset(d, k)
-            assert entry.passed, entry
 
 
 def test_poset_element_cap():

@@ -5,8 +5,12 @@ import json
 
 import pytest
 
-from cutcomplexes import WedgeClaim, girth, run_all
+import cutcomplexes.homology
+import cutcomplexes.verify
+from cutcomplexes import SUITES, VerificationReport, WedgeClaim, girth, run_all
 from cutcomplexes.verify import (
+    DEFAULT_SEED,
+    RECIPES,
     cycle_power_cut_case,
     grid_wedge_count,
     multipartite_bi_claim,
@@ -14,8 +18,6 @@ from cutcomplexes.verify import (
     petersen,
     psi_coloring,
     rook_wedge_count,
-    suite_disjoint_unions,
-    suite_posets,
 )
 
 
@@ -104,34 +106,55 @@ def test_filter_and_errors():
 
 
 def test_suite_sizes_are_pinned():
-    # parameter-range regressions show up as entry-count changes
+    # parameter-range regressions show up as recipe-count changes; counting
+    # the generators' recipes builds no complex
     expected = {
         "cycles": 48,          # d in {2,3,4}, n in [2d,13], two complexes each
         "cyclepowers": 50,     # 32 stable + 3 tight + 4 informational + 7 + 4
         "multipartite": 1036,  # 259 partitions of 2..12 into >= 2 parts, x2 d, x2 kinds
         "products": 36,        # 9 dimension lists, grid+rook, two complexes
         "unions": 13,
-        "poset": 15,
+        "poset": 15,           # 2 <= d <= 4, 1 <= k <= 5
+        "structural": 189,
+        "duality": 115,        # 50 random graphs at the default seed
     }
-    import cutcomplexes.verify as v
-
     sizes = {
-        "cyclepowers": len(v.suite_cycle_powers().entries),
-        "cycles": len(v.suite_cycles().entries),
-        "products": len(v.suite_products().entries),
-        "unions": len(v.suite_disjoint_unions().entries),
-        "poset": len(v.suite_posets().entries),
+        name: sum(1 for _ in recipes(DEFAULT_SEED)) for name, recipes in RECIPES.items()
     }
-    # count the multipartite instances without running the homology
-    parts = sum(
-        len(v._partitions_at_least_two_parts(total)) for total in range(2, 13)
-    )
-    sizes["multipartite"] = parts * 4
     assert sizes == expected
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_filter_applies_before_any_build(monkeypatch):
+    calls = {"run_instance": 0, "reduced_homology": 0, "homology_of_chain": 0}
+    for module, name in (
+        (cutcomplexes.verify, "run_instance"),
+        (cutcomplexes.verify, "reduced_homology"),
+        (cutcomplexes.homology, "homology_of_chain"),
+    ):
+        monkeypatch.setattr(module, name, _counting(calls, name, getattr(module, name)))
+    report = run_all(filter_pattern="structural/girth/*")
+    assert len(report.entries) == 9 and report.passed
+    assert calls == {"run_instance": 9, "reduced_homology": 0, "homology_of_chain": 0}
+
+
+def test_filtered_entries_equal_the_full_run():
+    full = run_all(suite="structural", seed=3)
+    part = run_all(suite="structural", seed=3, filter_pattern="structural/pairs/*")
+    matching = [e for e in full.entries if e.id.startswith("structural/pairs/")]
+    assert len(part.entries) == len(matching) == 18
+    assert strip_timings(part) == strip_timings(VerificationReport(matching))
+
+
 def test_report_schema():
-    report = suite_posets()
+    report = SUITES["poset"]()
     obj = report.to_json_obj()
     assert set(obj) == {"entries", "failures"}
     assert obj["failures"] == 0
@@ -141,7 +164,7 @@ def test_report_schema():
 
 
 def test_report_csv(tmp_path):
-    report = suite_disjoint_unions()
+    report = SUITES["unions"]()
     out = tmp_path / "report.csv"
     with open(out, "w", newline="") as fh:
         report.write_csv(fh)
@@ -152,9 +175,12 @@ def test_report_csv(tmp_path):
 
 def test_girth_suite_instances_have_the_hypothesis():
     # the fixed girth test set must satisfy girth >= 2d by construction
-    from cutcomplexes.verify import _girth_entries
+    from cutcomplexes.verify import _girth_recipes, run_instance
 
-    for entry in _girth_entries():
+    recipes = list(_girth_recipes())
+    assert len(recipes) == 9
+    for inst in recipes:
+        entry = run_instance(inst)
         assert entry.passed, entry
         assert "NOT" not in entry.computed
 
@@ -162,8 +188,22 @@ def test_girth_suite_instances_have_the_hypothesis():
 def test_instance_cap_is_enforced():
     from cutcomplexes.verify import TheoremInstance, run_instance
 
-    inst = TheoremInstance(
-        id="x", ground_size=15, build=lambda: None, expected=WedgeClaim.void()
-    )
-    with pytest.raises(ValueError, match="cap"):
-        run_instance(inst)
+    for expected in (WedgeClaim.void(), "holds"):
+        inst = TheoremInstance(id="x", ground_size=15, build=lambda: None, expected=expected)
+        with pytest.raises(ValueError, match="cap"):
+            run_instance(inst)
+
+
+def test_predicate_recipes_report_their_verdict():
+    from cutcomplexes.verify import TheoremInstance, run_instance
+
+    for ok in (True, False):
+        inst = TheoremInstance(
+            id="p", ground_size=3, build=lambda ok=ok: (ok, "what ran"),
+            expected="holds", skeleton_level=0, duality_rider=True, note="n=3",
+        )
+        entry = run_instance(inst)
+        # the verdict is the predicate's own, and no rider touches the entry
+        assert (entry.id, entry.expected, entry.computed, entry.passed, entry.note) == (
+            "p", "holds", "what ran", ok, "n=3"
+        )
