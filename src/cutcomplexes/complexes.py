@@ -4,8 +4,8 @@ A complex is facet-represented: the ground set is declared (phantom vertices
 allowed), the facets are the inclusion-maximal simplices, and the void complex
 (no simplices at all) is distinct from ``{emptyset}`` (exactly one empty
 facet).  Simplices are enumerated on demand and held as bitmasks over the
-ground set; builders that already know the full simplex list attach it so
-nothing is enumerated twice.
+ground set; ``nerve``, which finds every simplex while it builds, attaches
+the list so nothing is enumerated twice.
 
 The two graph complexes:
 
@@ -13,11 +13,14 @@ The two graph complexes:
   subgraph with an independent set of size d.  Its facets are exactly the
   complements of the independent d-sets.
 * ``bounded_independence_complex(g, d)``: vertex sets inducing subgraphs
-  with independence number below d (the clique complex at d = 2).
+  with independence number below d (the clique complex at d = 2).  Its
+  facets are the complements of the minimal transversals of the independent
+  d-sets.
 
-The two are Alexander duals of one another; the dual, link, star, deletion,
-join, skeleton, and nerve constructions here are the toolkit the verification
-suites are built from.
+The two are Alexander duals of one another, and ``alexander_dual`` finds
+its facets with the same ``minimal_transversals`` routine.  The dual, link,
+star, deletion, join, skeleton, and nerve constructions here are the toolkit
+the verification suites are built from.
 """
 
 from __future__ import annotations
@@ -256,6 +259,45 @@ def empty_simplex_complex(ground=()):
     return SimplicialComplex(ground, [frozenset()])
 
 
+# -- hypergraph dualization ----------------------------------------------------
+
+
+def minimal_transversals(edges, n):
+    """Minimal transversals of a hypergraph on vertices 0..n-1, ascending.
+
+    ``edges`` are vertex bitmasks; a transversal is a vertex set meeting every
+    edge.  MMCS (Murakami-Uno, Discrete Appl. Math. 170, 2014): grow a set S
+    one vertex at a time from an uncovered edge with the fewest candidate
+    vertices, and prune as soon as some vertex of S has no critical edge (an
+    edge meeting S in that vertex alone), since no superset of S is then
+    minimal.  Each minimal transversal is found once, and the work in practice
+    follows the output, not the 2^n subsets.  No edges gives ``[0]``; an empty
+    edge gives ``[]``.  Duplicate or non-minimal edges do not change the answer.
+    """
+    found = []
+
+    def walk(s, cand, uncov, crit):
+        # crit[i] lists the edges meeting s only in its i-th vertex
+        if not uncov:
+            found.append(s)
+            return
+        edge = min(uncov, key=lambda e: (e & cand).bit_count())
+        branch = edge & cand
+        cand ^= branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            kept = [[e for e in es if not e & v] for es in crit]
+            if all(kept):
+                hit = [e for e in uncov if e & v]
+                walk(s | v, cand, [e for e in uncov if not e & v], kept + [hit])
+            # later branches may add v, earlier ones may not: no repeats
+            cand |= v
+
+    walk(0, (1 << n) - 1, list(edges), [])
+    return sorted(found)
+
+
 # -- graph complexes -----------------------------------------------------------
 
 
@@ -301,33 +343,26 @@ def total_cut_complex(g: Graph, d):
 
 
 def _bounded_independence(g: Graph, d, cap=None):
-    table = g.alpha_table(cap)
     n = g.n
+    limit = resolve_cap(cap)
+    if n > limit:
+        raise SizeCapError(
+            f"bounded independence complex capped at {limit} vertices"
+        )
     full = (1 << n) - 1
-    simplices = [m for m in range(full + 1) if table[m] < d]
-    facet_masks = []
-    for m in simplices:
-        rest = full & ~m
-        maximal = True
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if table[m | low] < d:
-                maximal = False
-                break
-        if maximal:
-            facet_masks.append(m)
+    transversals = minimal_transversals(independent_set_masks(g, d), n)
     return SimplicialComplex._from_masks(
-        range(1, n + 1), facet_masks, simplices=simplices
+        range(1, n + 1), [full ^ t for t in transversals]
     )
 
 
 def bounded_independence_complex(g: Graph, d, cap=None):
     """Complex of vertex sets inducing subgraphs with independence number < d.
 
-    The exhaustive subset scan uses the memoized per-subset independence
-    table, whose vertex count ``cap`` bounds; at d = 2 this is the clique
-    complex of g.
+    A vertex set is a simplex iff its complement meets every independent
+    d-set, so the facets are the complements of the minimal transversals of
+    the independent d-sets.  The vertex count is capped by ``cap``; at d = 2
+    this is the clique complex of g.
     """
     if d < 2:
         raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
@@ -340,9 +375,10 @@ def bounded_independence_complex(g: Graph, d, cap=None):
 def alexander_dual(k: SimplicialComplex, cap=None):
     """Dual complex: sets whose ground-set complement is not a simplex of k.
 
-    The facets of the dual are the complements of the minimal non-faces of k;
-    the dual of the full simplex is void and the dual of the void complex is
-    the full simplex.
+    The facets of the dual are the complements of the minimal non-faces of k,
+    which are the minimal transversals of the facet complements; the dual of
+    the full simplex is void and the dual of the void complex is the full
+    simplex.
     """
     n = len(k.ground)
     if n == 0:
@@ -351,24 +387,10 @@ def alexander_dual(k: SimplicialComplex, cap=None):
     if n > limit:
         raise SizeCapError(f"Alexander dual capped at {limit} ground vertices")
     full = (1 << n) - 1
-    if k.is_void:
-        return SimplicialComplex._from_masks(k.ground, [full])
-    members = set(k.simplex_masks(cap))
-    dual_facets = []
-    for m in range(full + 1):
-        if m in members:
-            continue
-        mm = m
-        minimal = True
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            if (m ^ low) not in members:
-                minimal = False
-                break
-        if minimal:
-            dual_facets.append(full ^ m)
-    return SimplicialComplex._from_masks(k.ground, sorted(dual_facets))
+    # the non-faces of k are the sets meeting every facet complement; a void
+    # k has no facets, so its one minimal non-face is the empty set
+    non_faces = minimal_transversals([full ^ f for f in k.facet_masks()], n)
+    return SimplicialComplex._from_masks(k.ground, [full ^ t for t in non_faces])
 
 
 def strong_core(k: SimplicialComplex):

@@ -7,8 +7,8 @@ construction that produced it.
 
 All measurements are exact: the independence number is computed by
 branch-and-bound, and ``alpha_table`` tabulates the independence number of
-every induced subgraph at once (one byte per vertex subset), which is what the
-complex builders use.
+every induced subgraph at once (one byte per vertex subset) for checks that
+read every subset, such as the coloring checks of the structural suite.
 """
 
 from __future__ import annotations
@@ -127,13 +127,6 @@ class Graph:
                 table[m] = b if b > a else a
             self._alpha = table
         return self._alpha
-
-    def alpha_of_set(self, vs):
-        """Independence number of the subgraph induced by the vertex set ``vs``."""
-        mask = 0
-        for v in vs:
-            mask |= 1 << (v - 1)
-        return self.alpha_table()[mask]
 
 
 # -- generators --------------------------------------------------------------

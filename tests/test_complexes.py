@@ -5,7 +5,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplexes import (
@@ -36,7 +36,11 @@ from cutcomplexes import (
     total_cut_complex,
     void_complex,
 )
-from cutcomplexes.complexes import empty_simplex_complex, independent_set_masks
+from cutcomplexes.complexes import (
+    empty_simplex_complex,
+    independent_set_masks,
+    minimal_transversals,
+)
 from cutcomplexes.graphs import delete_vertices
 from cutcomplexes.posets import compositions
 
@@ -67,6 +71,62 @@ def random_complexes(draw):
         for _ in range(n_facets)
     ]
     return SimplicialComplex.from_facet_candidates(ground, facets)
+
+
+@st.composite
+def small_graphs(draw, max_n=10):
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    return random_graph(n, p, draw(st.randoms(use_true_random=False)))
+
+
+# -- subset-scan oracles ------------------------------------------------------------
+# Both scan all 2^n vertex subsets; the builders find the same facets as
+# minimal transversals, and the differential tests below hold them to it.
+
+
+def bi_by_subset_scan(g, d):
+    """Facet masks of BI_d(g): the subsets with independence number < d that
+    no added vertex keeps below d, read off the per-subset alpha table."""
+    table = g.alpha_table()
+    full = (1 << g.n) - 1
+    facets = []
+    for m in range(full + 1):
+        if table[m] >= d:
+            continue
+        rest = full & ~m
+        maximal = True
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if table[m | low] < d:
+                maximal = False
+                break
+        if maximal:
+            facets.append(m)
+    return facets
+
+
+def dual_by_subset_scan(k):
+    """Facet masks of the Alexander dual: complements of the subsets that are
+    not simplices of k while every subset one vertex smaller is."""
+    full = (1 << len(k.ground)) - 1
+    members = set(k.simplex_masks())
+    facets = []
+    for m in range(full + 1):
+        if m in members:
+            continue
+        mm = m
+        minimal = True
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            if (m ^ low) not in members:
+                minimal = False
+                break
+        if minimal:
+            facets.append(full ^ m)
+    return sorted(facets)
 
 
 # -- data model ------------------------------------------------------------------
@@ -170,11 +230,11 @@ def test_degenerate_total_cut_is_empty_simplex_complex():
 
 
 def test_builder_simplices_match_closure():
-    # the builder's cached simplex list must agree with facet closure
+    # the closure of the builder's facets is exactly the subsets with alpha < d
     g = graph_power(cycle(9), 2)
     k = bounded_independence_complex(g, 3)
-    rebuilt = SimplicialComplex(k.ground, k.facets)
-    assert k.simplex_masks() == rebuilt.simplex_masks()
+    table = g.alpha_table()
+    assert k.simplex_masks() == [m for m in range(1 << g.n) if table[m] < 3]
 
 
 def test_independent_set_masks_counts():
@@ -214,10 +274,75 @@ def test_duality_identity_random():
             ) == total_cut_complex(g, d)
 
 
+SPECIAL_COMPLEXES = [
+    void_complex([1, 2, 3]),
+    empty_simplex_complex([1, 2, 3]),
+    full_simplex([1, 2, 3, 4]),
+    SimplicialComplex([1, 2, 3, 4, 5], [{1, 2}, {2, 3}]),  # 4 and 5 phantom
+    void_complex([1]),
+    empty_simplex_complex([1]),
+]
+
+
+def with_special_complexes(test):
+    for k in SPECIAL_COMPLEXES:
+        test = example(k)(test)
+    return test
+
+
 @settings(max_examples=80, deadline=None)
 @given(random_complexes())
+@with_special_complexes
 def test_dual_involution(k):
     assert alexander_dual(alexander_dual(k)) == k
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_complexes())
+@with_special_complexes
+def test_dual_matches_subset_scan(k):
+    dual = alexander_dual(k)
+    assert dual.ground == k.ground
+    assert dual.facet_masks() == dual_by_subset_scan(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_graph_complexes_match_subset_scans(g):
+    for d in (2, 3, 4):
+        bi = bounded_independence_complex(g, d)
+        assert bi.ground == tuple(g.vertices())
+        assert bi.facet_masks() == bi_by_subset_scan(g, d)
+        assert alexander_dual(bi).facet_masks() == dual_by_subset_scan(bi)
+        cut = total_cut_complex(g, d)
+        assert alexander_dual(cut).facet_masks() == dual_by_subset_scan(cut)
+
+
+def test_minimal_transversals_edge_cases():
+    assert minimal_transversals([], 3) == [0]
+    assert minimal_transversals([], 0) == [0]
+    assert minimal_transversals([0], 3) == []
+    assert minimal_transversals([0b011, 0], 3) == []
+    # a path 0-1-2 as a hypergraph: vertex covers {1} and {0, 2}
+    assert minimal_transversals([0b011, 0b110], 3) == [0b010, 0b101]
+    assert minimal_transversals([0b111], 3) == [0b001, 0b010, 0b100]
+
+
+def test_minimal_transversals_ignore_duplicate_and_nonminimal_edges():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        edges = [rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 6))]
+        minimal = [e for e in set(edges) if not any(f != e and f & ~e == 0 for f in edges)]
+        padded = edges + edges + [e | rng.randrange(1 << n) for e in edges]
+        rng.shuffle(padded)
+        found = minimal_transversals(minimal, n)
+        assert minimal_transversals(padded, n) == found
+        # each answer meets every edge, and dropping any vertex breaks that
+        for t in found:
+            assert all(t & e for e in minimal)
+            bits = [1 << i for i in range(n) if t >> i & 1]
+            assert all(any(not (t ^ b) & e for e in minimal) for b in bits)
 
 
 # -- link, star, deletion ---------------------------------------------------------------
