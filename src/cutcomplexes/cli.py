@@ -30,11 +30,19 @@ from .posets import composition_poset, order_complex
 from .verify import DEFAULT_SEED, SUITES, run_all
 
 
+def _write_file(path, write, newline=None):
+    """Write ``path`` through ``write(fh)``; an unwritable path is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(obj, out_path):
     text = json.dumps(obj, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_file(out_path, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
 
@@ -188,11 +196,9 @@ def _cmd_verify(args):
             print(f"[FAIL] {e.id}: expected {e.expected}, got {e.computed}")
     print(report.summary())
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(indent=2) + "\n")
+        _write_file(args.json_out, lambda fh: fh.write(report.to_json(indent=2) + "\n"))
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8", newline="") as fh:
-            report.write_csv(fh)
+        _write_file(args.csv_out, report.write_csv, newline="")
     return 0 if report.passed else 1
 
 

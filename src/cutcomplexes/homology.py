@@ -11,15 +11,21 @@ dominated vertex is a strong collapse and keeps the homotopy type
 input.  The enumeration budget is still checked against the input.  Relative
 homology builds its quotient complex from the pair as given.
 
-Each degree's basis lists its simplex bitmasks in ascending integer order
-(colex order on vertex sets), the order in which they are enumerated.
-
-One structural fast path: whenever the chain groups in degrees q and q-1 are
-the complete skeleta of the ground set (basis counts hit C(n, q+1) and
-C(n, q)), the boundary matrix is the standard simplex boundary, whose rank is
-C(n-1, q) with all invariant factors 1.  Everything else goes through the
-Smith normal form of ``snf``: unit-pivot elimination, then a dense reduction
-of each connected block of the residual.
+Chain groups are built only above the complete skeleton.  Let s be the
+highest degree such that every degree from -1 up to s holds all C(n, q+1)
+(q+1)-subsets of the ground set.  Those degrees are never enumerated: their
+sizes are binomial coefficients, and each boundary between two of them is the
+standard simplex boundary, of rank C(n-1, q) with all invariant factors 1.
+``chain_complex`` finds s from face counts, enumerating faces level by level
+from the facets down and stopping at the first complete level; completeness
+is closed downward, so every level below it is complete too.  Degrees above s
+are assembled, each basis listing its simplex bitmasks in ascending integer
+(colex) order.  The rows of the lowest assembled boundary, from degree s+1,
+are keyed by the s-face bitmasks themselves, so no list of s-faces is ever
+built.  Every assembled degree goes through the Smith normal form of ``snf``:
+unit-pivot elimination, then a dense reduction of each connected block of the
+residual.  Torsion of degree s comes from the boundary from degree s+1.
+Relative chain complexes assemble every degree, with s = -2.
 
 Degrees are reduced from the top down with clearing: every unit pivot row of
 the boundary from degree q+1 names a degree-q column that is dropped from the
@@ -166,43 +172,38 @@ def matches_wedge(profile: HomologyProfile, claim: WedgeClaim):
 class ChainComplex:
     """Augmented simplicial chain complex with integer boundary matrices.
 
-    ``bases[q]`` lists the degree-q simplices as bitmasks in ascending integer
-    (colex) order; ``columns[q]`` holds the boundary of each basis element as
-    (row index, sign) pairs into ``bases[q-1]``.  The void complex is the
-    zero chain complex (no degrees at all).
+    ``complete_to`` is s: every degree from -1 up to s is the complete
+    skeleton of the ground set and is held in closed form, never assembled;
+    ``basis_size(q)`` is C(n, q+1) there.  It is -2 when every degree is
+    assembled.  For q > s, ``bases[q]`` lists the degree-q simplices as
+    bitmasks in ascending integer (colex) order, and ``columns[q]`` holds the
+    boundary of each basis element as (row key, sign) pairs.  A row key is an
+    index into ``bases[q-1]``, except in degree s+1 (when s >= -1), where it
+    is the bitmask of the s-face itself.  The void complex is the zero chain
+    complex (no degrees at all).
     """
 
-    __slots__ = ("ground", "bases", "columns", "void")
+    __slots__ = ("ground", "bases", "columns", "void", "complete_to")
 
-    def __init__(self, ground, bases, columns, void):
+    def __init__(self, ground, bases, columns, void, complete_to=-2):
         self.ground = ground
         self.bases = bases
         self.columns = columns
         self.void = void
+        self.complete_to = complete_to
 
     @property
     def top(self):
-        return max(self.bases) if self.bases else None
+        return None if self.void else max(self.bases, default=self.complete_to)
 
     @property
     def degrees(self):
-        return range(-1, self.top + 1) if self.bases else range(0)
+        return range(0) if self.void else range(-1, self.top + 1)
 
     def basis_size(self, q):
+        if -1 <= q <= self.complete_to:
+            return comb(len(self.ground), q + 1)
         return len(self.bases.get(q, ()))
-
-    def basis(self, q):
-        """Degree-q simplices as sorted vertex tuples."""
-        ground = self.ground
-        out = []
-        for m in self.bases.get(q, ()):
-            verts = []
-            while m:
-                low = m & -m
-                m ^= low
-                verts.append(ground[low.bit_length() - 1])
-            out.append(tuple(verts))
-        return out
 
     def boundary_rows(self, q, skip=()):
         """Boundary matrix of degree q as a dict-of-rows sparse matrix.
@@ -217,37 +218,20 @@ class ChainComplex:
                 rows.setdefault(i, {})[j] = s
         return rows
 
-    def boundary_dense(self, q):
-        """Dense boundary matrix (rows: degree q-1 basis, cols: degree q)."""
-        rows = self.basis_size(q - 1)
-        cols = self.basis_size(q)
-        mat = [[0] * cols for _ in range(rows)]
-        for j, col in enumerate(self.columns.get(q, ())):
-            for i, s in col:
-                mat[i][j] = s
-        return mat
-
     def euler_characteristic(self):
         """Alternating sum of basis sizes over the augmented complex."""
-        return sum((-1) ** q * len(b) for q, b in self.bases.items())
-
-    def is_full_skeleton_degree(self, q):
-        """Does the degree-q chain group carry every (q+1)-subset of the ground set?"""
-        n = len(self.ground)
-        if q == -1:
-            return self.basis_size(-1) == 1
-        if q < -1:
-            return False
-        return self.basis_size(q) == comb(n, q + 1)
+        return sum((-1) ** q * self.basis_size(q) for q in self.degrees)
 
 
-def _assemble(ground, masks_by_degree, dropped=None):
+def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2):
     """Shared assembly for absolute and relative chain complexes.
 
-    ``masks_by_degree`` lists each degree's masks in ascending order, which
-    becomes the basis order.  ``dropped`` is the set of masks excluded from
-    the bases (the subcomplex of a relative pair); boundary entries into
-    dropped faces are omitted.
+    ``masks_by_degree`` lists each assembled degree's masks in ascending
+    order, which becomes the basis order.  ``dropped`` is the set of masks
+    excluded from the bases (the subcomplex of a relative pair); boundary
+    entries into dropped faces are omitted.  Degrees up to ``complete_to``
+    are complete and not assembled, so the boundary from the degree above
+    them takes its row keys from the face masks.
     """
     bases = dict(masks_by_degree)
     columns = {}
@@ -255,6 +239,9 @@ def _assemble(ground, masks_by_degree, dropped=None):
     # degree below only; columns share these pairs instead of making their own
     faces, below = {}, None
     for q in sorted(bases):
+        # above a complete degree every face is there, keyed by its own mask;
+        # its pair is made on first use
+        keyed = q == complete_to + 1
         if below != q - 1:
             faces = {}
         if q != -1:
@@ -268,6 +255,8 @@ def _assemble(ground, masks_by_degree, dropped=None):
                     mm ^= low
                     face = m ^ low
                     entry = faces.get(face)
+                    if entry is None and keyed:
+                        entry = faces[face] = ((face, 1), (face, -1))
                     if entry is not None:
                         col.append(entry[odd])
                     elif dropped is None or face not in dropped:
@@ -277,7 +266,10 @@ def _assemble(ground, masks_by_degree, dropped=None):
             columns[q] = cols
         faces = {m: ((i, 1), (i, -1)) for i, m in enumerate(bases[q])}
         below = q
-    cc = ChainComplex(tuple(ground), bases, columns, void=not bases)
+    cc = ChainComplex(
+        tuple(ground), bases, columns, void=not bases and complete_to == -2,
+        complete_to=complete_to,
+    )
     _check_boundary_squares_to_zero(cc)
     return cc
 
@@ -324,15 +316,36 @@ def _check_boundary_squares_to_zero(cc):
 def chain_complex(k: SimplicialComplex, cap=None):
     """Augmented chain complex of a complex; void complexes yield the zero complex.
 
-    The boundary of an ascending simplex [v0 < ... < vq] alternates signs over
-    vertex omissions; each vertex maps to the empty simplex with coefficient +1.
+    Faces are enumerated from the top down: the faces of size t are the
+    facets of size t and every one-vertex deletion of a face of size t+1.
+    The first level holding all C(n, t) t-subsets of the ground set is
+    counted, not kept, and fixes ``complete_to`` = t-1; the level {emptyset}
+    is always complete.  The boundary of an ascending simplex [v0 < ... < vq]
+    alternates signs over vertex omissions; each vertex maps to the empty
+    simplex with coefficient +1.
     """
     if k.is_void:
         return ChainComplex(tuple(k.ground), {}, {}, void=True)
+    k.check_enumeration_budget(cap)
+    n = len(k.ground)
+    facets_by_size = {}
+    for f in k.facet_masks():
+        facets_by_size.setdefault(f.bit_count(), []).append(f)
+    t = max(facets_by_size)
+    level = set(facets_by_size[t])
     by_degree = {}
-    for m in k.simplex_masks(cap):
-        by_degree.setdefault(m.bit_count() - 1, []).append(m)
-    return _assemble(k.ground, by_degree)
+    while len(level) != comb(n, t):
+        by_degree[t - 1] = sorted(level)
+        t -= 1
+        below = set(facets_by_size.get(t, ()))
+        for m in level:
+            mm = m
+            while mm:
+                low = mm & -mm
+                mm ^= low
+                below.add(m ^ low)
+        level = below
+    return _assemble(k.ground, by_degree, complete_to=t - 1)
 
 
 def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex, cap=None):
@@ -356,33 +369,28 @@ def homology_of_chain(cc: ChainComplex):
         return HomologyProfile((), void=True)
     top = cc.top
     n = len(cc.ground)
-    ranks = {q: 0 for q in range(-1, top + 2)}
+    # standard simplex boundaries between complete degrees: unit factors
+    ranks = {q: comb(n - 1, q) for q in range(0, cc.complete_to + 1)}
     torsion_from = {}
     cleared = set()
-    for q in range(top, -1, -1):
-        if cc.basis_size(q) == 0:
+    for q in range(top, max(cc.complete_to, -1), -1):
+        if not cc.bases.get(q):
             continue
-        if cc.is_full_skeleton_degree(q) and cc.is_full_skeleton_degree(q - 1):
-            # standard simplex boundary: rank C(n-1, q), unit invariant factors
-            ranks[q] = comb(n - 1, q)
-            torsion_from[q] = ()
-            cleared = set()
-        else:
-            # clearing: columns that were unit pivot rows one degree up drop
-            # out without changing rank or torsion (see the module docstring)
-            pivots = set()
-            factors, rank = smith_normal_form(
-                cc.boundary_rows(q, skip=cleared), pivot_rows=pivots
-            )
-            ranks[q] = rank
-            torsion_from[q] = tuple(f for f in factors if f != 1)
-            cleared = pivots
+        # clearing: columns that were unit pivot rows one degree up drop out
+        # without changing rank or torsion (see the module docstring)
+        pivots = set()
+        factors, rank = smith_normal_form(
+            cc.boundary_rows(q, skip=cleared), pivot_rows=pivots
+        )
+        ranks[q] = rank
+        torsion_from[q] = tuple(f for f in factors if f != 1)
+        cleared = pivots
     groups = []
     for q in range(-1, top + 1):
-        betti = cc.basis_size(q) - ranks[q] - ranks.get(q + 1, 0)
+        betti = cc.basis_size(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
         torsion = torsion_from.get(q + 1, ())
         if betti or torsion:
-            groups.append((q, betti, tuple(torsion)))
+            groups.append((q, betti, torsion))
     profile = HomologyProfile(tuple(groups))
     if profile.euler() != cc.euler_characteristic():
         raise RuntimeError(

@@ -188,6 +188,17 @@ def test_verify_cli(tmp_path, capsys):
     assert cout.read_text().startswith("id,expected,computed")
 
 
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "gen", "cycle:5", "-o", str(missing))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {missing}: No such file or directory\n"
+    for flag in ("--json", "--csv"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "poset", flag, str(tmp_path))
+        assert code == 2 and "15/15 checks passed" in out
+        assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
 def test_verify_filter_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "poset", "--filter", "zzz*")
     assert code == 2 and "matched no" in err

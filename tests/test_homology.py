@@ -21,12 +21,15 @@ from cutcomplexes import (
     complete_multipartite,
     cycle,
     full_simplex,
+    graph_power,
+    is_skeleton_full,
     join,
     matches_wedge,
     reduced_homology,
     relative_homology,
     rook,
     simplex_boundary,
+    skeleton,
     smith_normal_form,
     smith_normal_form_dense,
     total_cut_complex,
@@ -220,27 +223,64 @@ def test_snf_residual_coupled_along_a_chain():
 # -- chain complexes ---------------------------------------------------------------
 
 
+def full_chain_complex(k):
+    """Every degree of k assembled, with row indices into the basis below.
+
+    The relative complex of k over the void complex, built from every
+    simplex of k: independent of the truncation at the complete skeleton.
+    """
+    return relative_chain_complex(k, void_complex(k.ground))
+
+
+def basis(cc, q):
+    """Degree-q simplices of an assembled degree, as sorted vertex tuples."""
+    return [
+        tuple(v for i, v in enumerate(cc.ground) if m >> i & 1) for m in cc.bases[q]
+    ]
+
+
+def boundary_dense(cc, q):
+    """Dense boundary matrix (rows: degree q-1 basis, cols: degree q) of a
+    fully assembled chain complex."""
+    assert cc.complete_to == -2
+    mat = [[0] * cc.basis_size(q) for _ in range(cc.basis_size(q - 1))]
+    for j, col in enumerate(cc.columns.get(q, ())):
+        for i, s in col:
+            mat[i][j] = s
+    return mat
+
+
 def test_chain_complex_shapes():
-    cc = chain_complex(simplex_boundary([1, 2, 3]))
-    assert [cc.basis_size(q) for q in (-1, 0, 1)] == [1, 3, 3]
-    assert cc.basis(1) == [(1, 2), (1, 3), (2, 3)]
+    k = simplex_boundary([1, 2, 3])
+    # the triangle boundary is the complete 1-skeleton: nothing is assembled
+    truncated = chain_complex(k)
+    assert truncated.complete_to == 1 and truncated.bases == {}
+    cc = full_chain_complex(k)
+    for c in (truncated, cc):
+        assert [c.basis_size(q) for q in (-1, 0, 1)] == [1, 3, 3]
+    assert basis(cc, 1) == [(1, 2), (1, 3), (2, 3)]
     # boundary composition vanishes, independently of the construction check
-    d1 = cc.boundary_dense(1)
-    d0 = cc.boundary_dense(0)
+    d1 = boundary_dense(cc, 1)
+    d0 = boundary_dense(cc, 0)
     prod = [
         [sum(d0[i][k] * d1[k][j] for k in range(3)) for j in range(3)]
         for i in range(1)
     ]
     assert prod == [[0, 0, 0]]
+    # the path 1-2-3 has every vertex but not every edge: the rows of the
+    # edge boundaries are the vertex bitmasks, signed +1 for the lower vertex
+    truncated = chain_complex(SimplicialComplex([1, 2, 3], [{1, 2}, {2, 3}]))
+    assert truncated.complete_to == 0 and list(truncated.bases) == [1]
+    assert truncated.columns[1] == [[(0b010, 1), (0b001, -1)], [(0b100, 1), (0b010, -1)]]
 
 
 def test_chain_complex_void_and_augmentation():
     assert chain_complex(void_complex([1, 2])).void
-    cc = chain_complex(empty_simplex_complex([1]))
-    assert cc.basis(-1) == [()]
-    assert cc.top == -1
+    cc = full_chain_complex(empty_simplex_complex([1]))
+    assert basis(cc, -1) == [()]
+    assert cc.top == -1 == chain_complex(empty_simplex_complex([1])).top
     # each vertex maps to the empty simplex with coefficient +1
-    cc2 = chain_complex(full_simplex([1, 2]))
+    cc2 = full_chain_complex(full_simplex([1, 2]))
     assert cc2.columns[0] == [[(0, 1)], [(0, 1)]]
 
 
@@ -259,14 +299,14 @@ def test_chain_complex_cap():
 
 
 def test_boundary_check_catches_corrupted_matrices():
-    def corrupted(q, j, entry):
-        cc = chain_complex(full_simplex([1, 2, 3, 4]))
+    def corrupted(q, j, entry, k=full_simplex([1, 2, 3, 4]), build=full_chain_complex):
+        cc = build(k)
         cc.columns[q][j][0] = entry(*cc.columns[q][j][0])
         return cc
 
     _check_boundary_squares_to_zero(corrupted(2, 0, lambda i, s: (i, s)))  # intact
     # a flipped sign, and a row pointing at a face outside the boundary
-    wrong_face = chain_complex(full_simplex([1, 2, 3, 4])).columns[2][-1][0][0]
+    wrong_face = full_chain_complex(full_simplex([1, 2, 3, 4])).columns[2][-1][0][0]
     for cc in (
         corrupted(2, 0, lambda i, s: (i, -s)),
         corrupted(2, 0, lambda i, s: (wrong_face, s)),
@@ -278,6 +318,18 @@ def test_boundary_check_catches_corrupted_matrices():
     for q in (1, 3):
         with pytest.raises(RuntimeError, match="is not \\+-1"):
             _check_boundary_squares_to_zero(corrupted(q, 0, lambda i, s: (i, 2)))
+    # two tetrahedra on a shared triangle have every vertex but not every
+    # edge; the mask-keyed boundary of degree 1 is checked as the lower map
+    glued = SimplicialComplex(range(1, 6), [{1, 2, 3, 4}, {1, 2, 3, 5}])
+    assert chain_complex(glued).complete_to == 0
+    with pytest.raises(RuntimeError, match="boundary composition is nonzero in degree 2"):
+        _check_boundary_squares_to_zero(
+            corrupted(1, 0, lambda i, s: (i, -s), glued, chain_complex)
+        )
+    with pytest.raises(RuntimeError, match="is not \\+-1 in degree 1"):
+        _check_boundary_squares_to_zero(
+            corrupted(1, 0, lambda i, s: (i, 2), glued, chain_complex)
+        )
 
 
 # -- strong-collapse core ------------------------------------------------------------
@@ -359,21 +411,62 @@ def test_rp2_is_a_closed_surface_and_has_torsion():
     assert reduced_homology(k).groups == ((1, 0, (2,)),)
 
 
+def complete_to_oracle(k):
+    """Highest q with every degree up to q a complete skeleton; -2 if none."""
+    return max(
+        (q for q in range(-1, len(k.ground)) if is_skeleton_full(k, q)), default=-2
+    )
+
+
+def check_truncated_homology(k):
+    """Both homology paths against the dense oracle, and s against fullness."""
+    truncated = chain_complex(k)
+    assert truncated.complete_to == complete_to_oracle(k)
+    expected = homology_dense(k)
+    assert homology_of_chain(truncated) == expected
+    assert reduced_homology(k) == expected
+
+
 def test_full_skeleton_shortcut_matches_plain_snf():
-    # recompute ranks/torsion for every degree without the shortcut
-    for k in [
+    # recompute ranks/torsion for every degree without closed-form ranks, on
+    # complexes whose complete skeleton reaches high
+    s0 = SimplicialComplex([91, 92], [{91}, {92}])
+    cases = [
         total_cut_complex(cycle(9), 2),
         total_cut_complex(cycle(9), 3),
         bounded_independence_complex(cycle(9), 3),
         bounded_independence_complex(complete_multipartite(3, 3, 3), 3),
+        total_cut_complex(complete_multipartite(3, 3, 3), 2),
+        total_cut_complex(complete_multipartite(2, 2, 2, 2), 3),
+        total_cut_complex(graph_power(cycle(9), 2), 2),
+        bounded_independence_complex(graph_power(cycle(10), 2), 2),
+        skeleton(full_simplex(range(1, 8)), 3),
+        simplex_boundary(range(1, 7)),
+        full_simplex(range(1, 6)),
+        empty_simplex_complex([1, 2]),
+        void_complex([1, 2]),
+        SimplicialComplex([1, 2, 3, 7, 9], simplex_boundary([1, 2, 3]).facets),
         rp2(),
-    ]:
-        assert reduced_homology(k) == homology_dense(k)
+        join(rp2(), simplex_boundary([7, 8, 9])),
+        join(s0, rp2()),
+    ]
+    for k in cases:
+        check_truncated_homology(k)
+    # RP^2 and its join with a circle have every edge and not every triangle;
+    # the Z/2 of RP^2 comes from the mask-keyed boundary of degree s+1 = 2
+    for k in (rp2(), join(rp2(), simplex_boundary([7, 8, 9]))):
+        assert chain_complex(k).complete_to == 1
+    assert homology_of_chain(chain_complex(rp2())).groups == ((1, 0, (2,)),)
+    assert chain_complex(skeleton(full_simplex(range(1, 8)), 3)).complete_to == 3
+    assert reduced_homology(skeleton(full_simplex(range(1, 8)), 3)).groups == (
+        (3, 15, ()),
+    )
 
 
 def homology_dense(k):
-    """Reduced homology from a dense SNF of every boundary: no clearing, no shortcut."""
-    return homology_dense_of_chain(chain_complex(k))
+    """Reduced homology from a dense SNF of every boundary: no clearing, no
+    closed-form ranks."""
+    return homology_dense_of_chain(full_chain_complex(k))
 
 
 def homology_dense_of_chain(cc):
@@ -382,7 +475,7 @@ def homology_dense_of_chain(cc):
     ranks = {}
     torsion = {}
     for q in range(0, cc.top + 1):
-        factors, ranks[q] = smith_normal_form_dense(cc.boundary_dense(q))
+        factors, ranks[q] = smith_normal_form_dense(boundary_dense(cc, q))
         torsion[q] = tuple(f for f in factors if f != 1)
     groups = []
     for q in range(-1, cc.top + 1):
@@ -396,7 +489,7 @@ def homology_dense_of_chain(cc):
 @settings(max_examples=80, deadline=None)
 @given(random_complexes())
 def test_homology_with_clearing_matches_dense(k):
-    assert reduced_homology(k) == homology_dense(k)
+    check_truncated_homology(k)
 
 
 def test_torsion_homology_with_clearing_matches_dense():
@@ -451,8 +544,8 @@ def test_cohomology_from_homology():
 def test_cohomology_against_cochain_complex():
     # independent oracle: cohomology = SNF data of the transposed boundaries
     for k in [rp2(), simplex_boundary([1, 2, 3, 4]), total_cut_complex(cycle(6), 2)]:
-        cc = chain_complex(k)
-        profile = cohomology_from_homology(homology_of_chain(cc))
+        profile = cohomology_from_homology(homology_of_chain(chain_complex(k)))
+        cc = full_chain_complex(k)
         ranks = {}
         factors = {}
         for q in range(0, cc.top + 1):
@@ -546,8 +639,8 @@ def test_relative_validation():
 
 def test_relative_homology_with_clearing_matches_dense():
     # the 2-skeleton of a simplex with some tetrahedra, relative to two
-    # vertices: degree 2 takes the shortcut between two degrees that do not,
-    # so pivots of degree 3 must not clear anything in degree 1
+    # vertices: relative complexes assemble every degree, so each of them
+    # goes through the Smith normal form with clearing
     rng = random.Random(11)
     ground = range(1, 8)
     triangles = [set(t) for t in combinations(ground, 3)]
@@ -576,6 +669,9 @@ def test_relative_euler_additivity():
         chi_rel = rel.euler_characteristic()
         chi_k = chain_complex(upper).euler_characteristic()
         chi_l = chain_complex(lower).euler_characteristic()
+        # closed-form basis sizes count the complete degrees in full
+        assert chi_k == full_chain_complex(upper).euler_characteristic()
+        assert chi_l == full_chain_complex(lower).euler_characteristic()
         assert chi_rel == chi_k - chi_l
         assert homology_of_chain(rel).euler() == chi_rel
 
