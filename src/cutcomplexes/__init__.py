@@ -4,12 +4,10 @@ with exact integer homology and theorem-verification suites."""
 from .graphs import (
     Graph,
     GraphFormatError,
-    cartesian_product,
     chordal_elimination,
     complete,
     complete_multipartite,
     cycle,
-    diameter,
     disjoint_union,
     from_descriptor,
     girth,
@@ -19,12 +17,10 @@ from .graphs import (
     grid,
     independence_number,
     induced_subgraph,
-    is_chordal,
     path,
     rook,
 )
 from .complexes import (
-    Cover,
     SimplicialComplex,
     alexander_dual,
     bounded_independence_complex,
@@ -37,11 +33,9 @@ from .complexes import (
     is_skeleton_full,
     join,
     link,
-    nerve,
     relabel_complex,
     simplex_boundary,
     skeleton,
-    star,
     total_cut_complex,
     void_complex,
 )
@@ -49,6 +43,7 @@ from .homology import (
     ChainComplex,
     HomologyProfile,
     WedgeClaim,
+    alexander_duality_holds,
     chain_complex,
     cohomology_from_homology,
     matches_wedge,

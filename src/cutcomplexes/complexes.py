@@ -3,9 +3,8 @@
 A complex is facet-represented: the ground set is declared (phantom vertices
 allowed), the facets are the inclusion-maximal simplices, and the void complex
 (no simplices at all) is distinct from ``{emptyset}`` (exactly one empty
-facet).  Simplices are enumerated on demand and held as bitmasks over the
-ground set; ``nerve``, which finds every simplex while it builds, attaches
-the list so nothing is enumerated twice.
+facet).  Simplices are enumerated on demand, within a work budget, and held
+as bitmasks over the ground set.
 
 The two graph complexes:
 
@@ -18,9 +17,11 @@ The two graph complexes:
   d-sets.
 
 The two are Alexander duals of one another, and ``alexander_dual`` finds
-its facets with the same ``minimal_transversals`` routine.  The dual, link,
-star, deletion, join, skeleton, and nerve constructions here are the toolkit
-the verification suites are built from.
+its facets with the same ``minimal_transversals`` routine.  The suites build
+their identities from link, deletion, join, union, intersection and
+relabelling; homology runs on the strong-collapse core (``strong_core``), and
+its riders check skeleton fullness and the dual.  Complexes cross the CLI as
+JSON (``complex_to_json``, ``complex_from_json``).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SimplicialComplex:
         return cls._from_masks(ground, _prune_to_maximal(masks))
 
     @classmethod
-    def _from_masks(cls, ground, facet_masks, simplices=None):
+    def _from_masks(cls, ground, facet_masks):
         """Trusted fast path: ``facet_masks`` must already be maximal."""
         self = object.__new__(cls)
         ground = tuple(ground)
@@ -92,7 +93,7 @@ class SimplicialComplex:
         self.facets = frozenset(
             frozenset(self._unmask(m)) for m in self._facet_masks
         )
-        self._simplices = sorted(simplices) if simplices is not None else None
+        self._simplices = None
         return self
 
     def _mask(self, vertices):
@@ -120,10 +121,6 @@ class SimplicialComplex:
     @property
     def is_void(self):
         return not self.facets
-
-    @property
-    def has_empty_simplex(self):
-        return bool(self.facets)
 
     def dim(self):
         """Dimension; -1 for {emptyset}, None for the void complex."""
@@ -177,20 +174,6 @@ class SimplicialComplex:
             self._simplices = sorted(seen)
         return self._simplices
 
-    def simplices(self, cap=None):
-        """All simplices as sorted vertex tuples, by (dimension, lex)."""
-        out = [tuple(self._unmask(m)) for m in self.simplex_masks(cap)]
-        out.sort(key=lambda t: (len(t), t))
-        return out
-
-    def f_vector(self, cap=None):
-        """Counts per dimension, indexed from -1 (the empty simplex)."""
-        counts = {}
-        for m in self.simplex_masks(cap):
-            q = m.bit_count() - 1
-            counts[q] = counts.get(q, 0) + 1
-        return counts
-
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -206,29 +189,6 @@ class SimplicialComplex:
             f"SimplicialComplex({len(self.ground)} ground vertices, "
             f"{len(self.facets)} facets, dim {self.dim()})"
         )
-
-
-class Cover:
-    """An ordered family of subcomplexes sharing one ground set."""
-
-    __slots__ = ("pieces",)
-
-    def __init__(self, pieces):
-        pieces = tuple(pieces)
-        if not pieces:
-            raise ValueError("a cover needs at least one piece")
-        ground = pieces[0].ground
-        for p in pieces[1:]:
-            if p.ground != ground:
-                raise ValueError("cover pieces must share one ground set")
-        self.pieces = pieces
-
-    def covers(self, k):
-        """Does the union of the pieces equal the simplex set of ``k``?"""
-        union = set()
-        for p in self.pieces:
-            union.update(p.simplex_masks())
-        return set(k.simplex_masks()) == union
 
 
 # -- elementary complexes ------------------------------------------------------
@@ -342,7 +302,16 @@ def total_cut_complex(g: Graph, d):
     return _total_cut(g, d)
 
 
-def _bounded_independence(g: Graph, d, cap=None):
+def bounded_independence_complex(g: Graph, d, cap=None):
+    """Complex of vertex sets inducing subgraphs with independence number < d.
+
+    A vertex set is a simplex iff its complement meets every independent
+    d-set, so the facets are the complements of the minimal transversals of
+    the independent d-sets.  The vertex count is capped by ``cap``; at d = 2
+    this is the clique complex of g.
+    """
+    if d < 2:
+        raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
     n = g.n
     limit = resolve_cap(cap)
     if n > limit:
@@ -354,19 +323,6 @@ def _bounded_independence(g: Graph, d, cap=None):
     return SimplicialComplex._from_masks(
         range(1, n + 1), [full ^ t for t in transversals]
     )
-
-
-def bounded_independence_complex(g: Graph, d, cap=None):
-    """Complex of vertex sets inducing subgraphs with independence number < d.
-
-    A vertex set is a simplex iff its complement meets every independent
-    d-set, so the facets are the complements of the minimal transversals of
-    the independent d-sets.  The vertex count is capped by ``cap``; at d = 2
-    this is the clique complex of g.
-    """
-    if d < 2:
-        raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
-    return _bounded_independence(g, d, cap)
 
 
 # -- constructions on complexes -------------------------------------------------
@@ -473,18 +429,6 @@ def link(k: SimplicialComplex, sigma):
     return SimplicialComplex.from_facet_candidates(ground, facets)
 
 
-def star(k: SimplicialComplex, sigma):
-    """Star of sigma: simplices whose union with sigma is still a simplex.
-
-    Ground set unchanged; void when sigma is not a simplex.
-    """
-    sigma, sm = _sigma_mask(k, sigma)
-    if not k._contains_mask(sm):
-        return void_complex(k.ground)
-    facets = [f for f in k.facets if sigma <= f]
-    return SimplicialComplex.from_facet_candidates(k.ground, facets)
-
-
 def deletion(k: SimplicialComplex, sigma):
     """Deletion of sigma: simplices not containing sigma.  Ground set unchanged."""
     sigma, sm = _sigma_mask(k, sigma)
@@ -545,40 +489,6 @@ def is_skeleton_full(k: SimplicialComplex, d):
     return True
 
 
-def nerve(cover):
-    """Nerve of a cover: piece i becomes vertex i; a set of pieces spans a
-    simplex iff their intersection contains a non-empty simplex."""
-    pieces = cover.pieces if isinstance(cover, Cover) else Cover(cover).pieces
-    m = len(pieces)
-    if m > 20:
-        raise SizeCapError("nerve capped at 20 cover pieces")
-    # a family of pieces shares a non-empty simplex iff it shares a vertex
-    supports = []
-    for p in pieces:
-        s = 0
-        for f in p.facet_masks():
-            s |= f
-        supports.append(s)
-    qualifying = []
-    for subset in range(1, 1 << m):
-        inter = ~0
-        mm = subset
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            inter &= supports[low.bit_length() - 1]
-            if not inter:
-                break
-        if inter:
-            qualifying.append(subset)
-    ground = range(1, m + 1)
-    if not qualifying:
-        return empty_simplex_complex(ground)
-    return SimplicialComplex._from_masks(
-        ground, _prune_to_maximal(qualifying), simplices=[0] + qualifying
-    )
-
-
 def complex_union(k1: SimplicialComplex, k2: SimplicialComplex):
     """Union of simplex sets; complexes must share a ground set."""
     if k1.ground != k2.ground:
@@ -630,14 +540,30 @@ def complex_from_json(obj):
     for field in ("ground", "facets", "void"):
         if field not in obj:
             raise ValueError(f'complex JSON is missing the "{field}" field')
-    ground = obj["ground"]
-    if not isinstance(ground, list) or not all(isinstance(v, int) for v in ground):
+    ground, facets, void = obj["ground"], obj["facets"], obj["void"]
+    if not _is_vertex_list(ground):
         raise ValueError('"ground" must be a list of integers')
-    if obj["void"]:
-        if obj["facets"]:
+    if len(set(ground)) != len(ground):
+        twice = next(v for i, v in enumerate(ground) if v in ground[:i])
+        raise ValueError(f'"ground" lists vertex {twice} twice')
+    if not isinstance(void, bool):
+        raise ValueError(f'"void" must be true or false, got {void!r}')
+    if not isinstance(facets, list):
+        raise ValueError('"facets" must be a list of vertex lists')
+    for i, f in enumerate(facets):
+        if not _is_vertex_list(f):
+            raise ValueError(
+                f"facets[{i}]: expected a list of integer vertices, got {f!r}"
+            )
+    if void:
+        if facets:
             raise ValueError("a void complex cannot list facets")
         return void_complex(ground)
-    facets = obj["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ValueError('"facets" must be a list of vertex lists')
     return SimplicialComplex(ground, [frozenset(f) for f in facets])
+
+
+def _is_vertex_list(obj):
+    # JSON true/false arrive as bool, a subclass of int; they are not vertices
+    return isinstance(obj, list) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in obj
+    )

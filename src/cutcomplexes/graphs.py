@@ -1,7 +1,7 @@
 """Simple undirected graphs on vertex set {1, ..., n}: generators and exact invariants.
 
 Vertices are dense integer labels.  Derived graphs (induced subgraphs, powers,
-cartesian products, disjoint unions) are relabelled onto 1..n and keep the
+grids and rook graphs, disjoint unions) are relabelled onto 1..n and keep the
 original labels in ``Graph.labels`` so output stays traceable to the
 construction that produced it.
 
@@ -13,7 +13,6 @@ read every subset, such as the coloring checks of the structural suite.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from itertools import combinations, product
 from math import inf
@@ -63,12 +62,6 @@ class Graph:
 
     def num_edges(self):
         return sum(len(s) for s in self.adj.values()) // 2
-
-    def degree(self, v):
-        return len(self.adj[v])
-
-    def neighbors(self, v):
-        return self.adj[v]
 
     def closed_neighbors(self, v):
         return self.adj[v] | {v}
@@ -172,26 +165,6 @@ def complete_multipartite(*parts):
     return Graph(n, edges)
 
 
-def cartesian_product(g, h):
-    """Cartesian graph product; vertex (a, b) adjacent to (a', b) for aa' an edge
-    of g and to (a, b') for bb' an edge of h.  Labels are the pairs in
-    lexicographic order."""
-    pairs = [(a, b) for a in g.vertices() for b in h.vertices()]
-    index = {p: i + 1 for i, p in enumerate(pairs)}
-    edges = []
-    for (a, b), i in index.items():
-        for a2 in g.adj[a]:
-            j = index[(a2, b)]
-            if i < j:
-                edges.append((i, j))
-        for b2 in h.adj[b]:
-            j = index[(a, b2)]
-            if i < j:
-                edges.append((i, j))
-    labels = [(g.original_label(a), h.original_label(b)) for a, b in pairs]
-    return Graph(len(pairs), edges, labels=labels)
-
-
 def _product_family(factors, dims):
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"product dimensions must be positive, got {dims}")
@@ -283,26 +256,6 @@ def bfs_distances(g, source, skip_edge=None):
     return dist
 
 
-def distance(g, u, v):
-    return bfs_distances(g, u).get(v, inf)
-
-
-def diameter(g):
-    worst = 0
-    for v in g.vertices():
-        dist = bfs_distances(g, v)
-        if len(dist) < g.n:
-            return inf
-        worst = max(worst, max(dist.values()))
-    return worst
-
-
-def is_connected(g):
-    if g.n == 0:
-        return True
-    return len(bfs_distances(g, 1)) == g.n
-
-
 def girth(g):
     """Length of a shortest cycle, or math.inf for forests."""
     best = inf
@@ -389,10 +342,6 @@ def chordal_elimination(g):
     return order
 
 
-def is_chordal(g):
-    return chordal_elimination(g) is not None
-
-
 # -- serialization and descriptors --------------------------------------------
 
 
@@ -431,17 +380,6 @@ def graph_from_json(obj):
         seen.add((u, v))
         edges.append((u, v))
     return Graph(n, edges)
-
-
-def load_graph(text):
-    """Parse a graph from a JSON string."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return graph_from_json(obj)
 
 
 def _int_args(parts, descriptor, count=None):

@@ -68,28 +68,10 @@ class HomologyProfile:
     groups: tuple = ()
     void: bool = False
 
-    def betti(self, q):
-        for degree, betti, _ in self.groups:
-            if degree == q:
-                return betti
-        return 0
-
-    def torsion(self, q):
-        for degree, _, torsion in self.groups:
-            if degree == q:
-                return torsion
-        return ()
-
-    def group(self, q):
-        return self.betti(q), self.torsion(q)
-
     @property
     def is_trivial(self):
         """All reduced groups vanish (the contractibility surrogate)."""
         return not self.void and not self.groups
-
-    def degrees(self):
-        return [degree for degree, _, _ in self.groups]
 
     def shifted(self, offset=1):
         """Profile with every degree moved up by ``offset`` (suspension law)."""
@@ -436,16 +418,26 @@ def cohomology_from_homology(profile: HomologyProfile):
     return HomologyProfile(groups, void=profile.void)
 
 
-def verify_alexander_duality(k: SimplicialComplex, cap=None):
-    """Check H~_i(K) = H~^(n-i-3)(K*) in every degree, torsion included."""
+def alexander_duality_holds(k: SimplicialComplex, profile: HomologyProfile, cap=None):
+    """Does H~_i(K) = H~^(n-i-3)(K*) hold in every degree, torsion included?
+
+    ``profile`` is the reduced homology of ``k``, already computed; only the
+    dual's homology is computed here.
+    """
     n = len(k.ground)
-    if n > DUALITY_CHECK_CAP:
+    dual_cohomology = cohomology_from_homology(
+        reduced_homology(alexander_dual(k, cap), cap)
+    )
+    lhs = {q: (b, t) for q, b, t in profile.groups}
+    rhs = {n - 3 - q: (b, t) for q, b, t in dual_cohomology.groups}
+    return lhs == rhs
+
+
+def verify_alexander_duality(k: SimplicialComplex, cap=None):
+    """Check Alexander duality on ``k`` from scratch, on at most
+    ``DUALITY_CHECK_CAP`` ground vertices."""
+    if len(k.ground) > DUALITY_CHECK_CAP:
         raise SizeCapError(
             f"duality verification capped at {DUALITY_CHECK_CAP} ground vertices"
         )
-    left = reduced_homology(k, cap)
-    dual = alexander_dual(k, cap)
-    dual_cohomology = cohomology_from_homology(reduced_homology(dual, cap))
-    lhs = {q: (b, t) for q, b, t in left.groups}
-    rhs = {n - 3 - q: (b, t) for q, b, t in dual_cohomology.groups}
-    return lhs == rhs
+    return alexander_duality_holds(k, reduced_homology(k, cap), cap)

@@ -88,9 +88,7 @@ def _cover_relation(poset):
 
 def maximal_chains(poset):
     """All inclusion-maximal chains, as index tuples (ascending)."""
-    elems = poset.elements
-    n = len(elems)
-    leq = poset.leq
+    n = len(poset.elements)
     covers = _cover_relation(poset)
     has_lower = [False] * n
     for i in range(n):

@@ -8,8 +8,9 @@ and what is expected:
   profile is compared against the closed-form answer (a wedge of spheres, a
   contractible complex, or the void complex).  Where the underlying
   connectivity argument is a skeleton-fullness statement, the recipe asks for
-  that skeleton to be checked as well; wedge verdicts on at most 12 ground
-  vertices also re-check Alexander duality against the dual complex.
+  that skeleton to be checked as well; wedge verdicts on at most
+  ``DUALITY_CHECK_CAP`` ground vertices also re-check Alexander duality
+  against the dual complex.
 - a string: the recipe is a predicate (an identity between complexes, a
   relative-homology vanishing, an informational profile), and the thunk runs
   it and returns ``(ok, computed text)``.
@@ -40,7 +41,6 @@ from math import comb
 
 from . import graphs as gr
 from .complexes import (
-    alexander_dual,
     bounded_independence_complex,
     complex_intersection,
     complex_union,
@@ -55,12 +55,13 @@ from .complexes import (
 )
 from .homology import (
     WedgeClaim,
-    cohomology_from_homology,
+    alexander_duality_holds,
     matches_wedge,
     reduced_homology,
     relative_homology,
     verify_alexander_duality,
 )
+from .limits import DUALITY_CHECK_CAP
 from .posets import composition_poset, expected_order_complex_claim, order_complex
 from .report import ReportEntry, VerificationReport
 
@@ -100,15 +101,6 @@ class TheoremInstance:
     note: str = ""
 
 
-def _duality_holds(k, profile):
-    """H~_i(k) = H~^(n-i-3)(dual of k), reusing the profile already computed."""
-    n = len(k.ground)
-    dual_cohomology = cohomology_from_homology(reduced_homology(alexander_dual(k)))
-    lhs = {q: (b, t) for q, b, t in profile.groups}
-    rhs = {n - 3 - q: (b, t) for q, b, t in dual_cohomology.groups}
-    return lhs == rhs
-
-
 def run_instance(inst: TheoremInstance):
     if inst.ground_size > INSTANCE_GROUND_CAP:
         raise ValueError(
@@ -132,8 +124,8 @@ def run_instance(inst: TheoremInstance):
                 computed += f" [skeleton not full at level {inst.skeleton_level}]"
             else:
                 note = _append_note(note, f"sk_{inst.skeleton_level} full")
-        if passed and inst.duality_rider and len(k.ground) <= 12:
-            if not _duality_holds(k, profile):
+        if passed and inst.duality_rider and len(k.ground) <= DUALITY_CHECK_CAP:
+            if not alexander_duality_holds(k, profile):
                 passed = False
                 computed += " [Alexander duality violated]"
             else:

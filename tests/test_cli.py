@@ -112,6 +112,29 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys):
     assert "line 1" in err
 
 
+MALFORMED_COMPLEXES = [
+    ('{"ground": [1, 2], "facets": [[1, [2]]], "void": false}',
+     "error: facets[0]: expected a list of integer vertices, got [1, [2]]"),
+    ('{"ground": [1, 2], "facets": [{"a": 1}], "void": false}',
+     "error: facets[0]: expected a list of integer vertices, got {'a': 1}"),
+    ('{"ground": [1, 2], "facets": [], "void": "no"}',
+     "error: \"void\" must be true or false, got 'no'"),
+    ('{"ground": [1, 1, 2], "facets": [[1, 2]], "void": false}',
+     "error: \"ground\" lists vertex 1 twice"),
+]
+
+
+@pytest.mark.parametrize("text,message", MALFORMED_COMPLEXES)
+def test_malformed_complex_json_exits_2(text, message, tmp_path, capsys, monkeypatch):
+    cfile = tmp_path / "k.json"
+    cfile.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for argv in (["homology"], ["homology", "--complex", str(cfile)],
+                 ["dual", "--complex", str(cfile)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

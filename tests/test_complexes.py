@@ -1,5 +1,5 @@
-"""Complex construction: graph complexes, duality, link/star/deletion, join,
-skeleta, nerve, and the facet representation's invariants."""
+"""Complex construction: graph complexes, duality, link/deletion, join,
+skeleta, JSON input, and the facet representation's invariants."""
 
 import random
 from itertools import combinations
@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutcomplexes import (
-    Cover,
     Graph,
     SimplicialComplex,
     alexander_dual,
@@ -27,12 +26,10 @@ from cutcomplexes import (
     is_skeleton_full,
     join,
     link,
-    nerve,
     path,
     relabel_complex,
     simplex_boundary,
     skeleton,
-    star,
     total_cut_complex,
     void_complex,
 )
@@ -151,7 +148,12 @@ def test_constructor_rejects_nested_facets():
 def test_membership_and_simplices():
     k = SimplicialComplex([1, 2, 3, 4], [{1, 2, 3}, {3, 4}])
     assert k.contains([1, 3]) and k.contains([]) and not k.contains([1, 4])
-    assert k.simplices() == [
+    masks = k.simplex_masks()
+    assert masks == sorted(masks)
+    simplices = [
+        tuple(v for i, v in enumerate(k.ground) if m >> i & 1) for m in masks
+    ]
+    assert sorted(simplices, key=lambda t: (len(t), t)) == [
         (),
         (1,),
         (2,),
@@ -345,7 +347,7 @@ def test_minimal_transversals_ignore_duplicate_and_nonminimal_edges():
             assert all(any(not (t ^ b) & e for e in minimal) for b in bits)
 
 
-# -- link, star, deletion ---------------------------------------------------------------
+# -- link, deletion ---------------------------------------------------------------
 
 
 def test_link_law_on_cycles():
@@ -369,7 +371,6 @@ def test_link_law_on_cycles():
 def test_phantom_vertex_rules():
     # vertex 4 of this complex is phantom: present in the ground set only
     k = SimplicialComplex([1, 2, 3, 4], [{1, 2}, {2, 3}])
-    assert star(k, [4]).is_void
     assert link(k, [4]).is_void
     assert deletion(k, [4]) == k
     with pytest.raises(ValueError):
@@ -379,7 +380,6 @@ def test_phantom_vertex_rules():
 def test_link_star_deletion_shapes():
     k = SimplicialComplex([1, 2, 3, 4], [{1, 2, 3}, {3, 4}])
     assert link(k, [3]) == SimplicialComplex([1, 2, 4], [{1, 2}, {4}])
-    assert star(k, [4]) == SimplicialComplex([1, 2, 3, 4], [{3, 4}])
     assert deletion(k, [3]) == SimplicialComplex([1, 2, 3, 4], [{1, 2}, {4}])
     assert deletion(k, [1, 2]) == SimplicialComplex([1, 2, 3, 4], [{1, 3}, {2, 3}, {3, 4}])
 
@@ -419,45 +419,6 @@ def test_skeleton_fullness_examples():
     assert is_skeleton_full(big, 2)
 
 
-# -- nerve ------------------------------------------------------------------------------------
-
-
-def test_nerve_of_tight_cycle_power_cover():
-    g = graph_power(cycle(6), 2)
-    k = total_cut_complex(g, 2)
-    assert len(k.facets) == 3
-    pieces = [SimplicialComplex(k.ground, [f]) for f in sorted(k.facets, key=sorted)]
-    n = nerve(Cover(pieces))
-    assert n == simplex_boundary([1, 2, 3])
-
-
-def test_nerve_small_cases():
-    one = SimplicialComplex([1, 2], [{1, 2}])
-    assert nerve([one]) == full_simplex([1])
-    a = SimplicialComplex([1, 2, 3, 4], [{1, 2}])
-    b = SimplicialComplex([1, 2, 3, 4], [{3, 4}])
-    assert nerve([a, b]) == SimplicialComplex([1, 2], [{1}, {2}])
-
-
-def test_cover_covers():
-    k = total_cut_complex(cycle(4), 2)
-    pieces = [SimplicialComplex(k.ground, [f]) for f in k.facets]
-    assert Cover(pieces).covers(k)
-    assert not Cover(pieces[:1]).covers(k)
-
-
-def test_cover_validation_and_nerve_cap():
-    from cutcomplexes import SizeCapError
-
-    with pytest.raises(ValueError, match="share"):
-        Cover([full_simplex([1]), full_simplex([2])])
-    with pytest.raises(ValueError, match="at least one"):
-        Cover([])
-    piece = SimplicialComplex([1, 2], [{1, 2}])
-    with pytest.raises(SizeCapError):
-        nerve([piece] * 21)
-
-
 # -- disjoint union law ------------------------------------------------------------------------
 
 
@@ -473,13 +434,15 @@ def union_law_holds(components, d):
         offsets.append(base)
         base += comp.n
 
-    from cutcomplexes.complexes import _bounded_independence
-
     pieces = []
     for comp_tuple in compositions(d + k - 1, k):
         parts = []
         for comp, dd, off in zip(components, comp_tuple, offsets):
-            local = _bounded_independence(comp, dd)
+            if dd == 1:
+                # every vertex is an independent 1-set: only the empty set is left
+                local = empty_simplex_complex(comp.vertices())
+            else:
+                local = bounded_independence_complex(comp, dd)
             parts.append(relabel_complex(local, {v: v + off for v in comp.vertices()}))
         joined = parts[0]
         for p in parts[1:]:
@@ -522,3 +485,26 @@ def test_complex_json_validation():
         complex_from_json({"ground": [1]})
     with pytest.raises(ValueError, match="void"):
         complex_from_json({"ground": [1], "facets": [[1]], "void": True})
+
+    def obj(**fields):
+        return {"ground": [1, 2], "facets": [[1, 2]], "void": False, **fields}
+
+    bad_facet = r"facets\[0\]: expected a list of integer vertices"
+    with pytest.raises(ValueError, match=bad_facet + r", got \[1, \[2\]\]"):
+        complex_from_json(obj(facets=[[1, [2]]]))
+    with pytest.raises(ValueError, match=bad_facet):
+        complex_from_json(obj(facets=[{"a": 1}]))
+    with pytest.raises(ValueError, match=r"facets\[1\]"):
+        complex_from_json(obj(facets=[[1], [2, True]]))
+    with pytest.raises(ValueError, match=r"facets\[0\]"):
+        complex_from_json(obj(facets=[3], void=True))
+    for void in ("no", 0, 1, None, []):
+        with pytest.raises(ValueError, match='"void" must be true or false'):
+            complex_from_json(obj(void=void, facets=[]))
+    with pytest.raises(ValueError, match='"ground" lists vertex 1 twice'):
+        complex_from_json(obj(ground=[1, 1, 2]))
+    with pytest.raises(ValueError, match='"ground" must be a list of integers'):
+        complex_from_json(obj(ground=[1, True]))
+    # well-formed input still loads, void included
+    assert complex_from_json(obj()) == full_simplex([1, 2])
+    assert complex_from_json(obj(facets=[], void=True)) == void_complex([1, 2])

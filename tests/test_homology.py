@@ -2,6 +2,7 @@
 homology, universal coefficients, and Alexander duality."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from cutcomplexes import (
     SimplicialComplex,
     SizeCapError,
     WedgeClaim,
+    alexander_duality_holds,
     bareiss_rank,
     bounded_independence_complex,
     chain_complex,
@@ -405,7 +407,7 @@ def test_rp2_is_a_closed_surface_and_has_torsion():
         for e in combinations(sorted(f), 2):
             edges[e] = edges.get(e, 0) + 1
     assert len(edges) == 15 and set(edges.values()) == {2}
-    counts = k.f_vector()
+    counts = Counter(m.bit_count() - 1 for m in k.simplex_masks())
     assert counts[0] == 6 and counts[1] == 15 and counts[2] == 10
     assert 6 - 15 + 10 == 1  # Euler characteristic of the projective plane
     assert reduced_homology(k).groups == ((1, 0, (2,)),)
@@ -553,11 +555,11 @@ def test_cohomology_against_cochain_complex():
             ranks[q] = r
             factors[q] = tuple(f for f in fs if f != 1)
         ranks[cc.top + 1] = 0
+        groups = {q: (b, t) for q, b, t in profile.groups}
         for q in range(-1, cc.top + 1):
             betti = cc.basis_size(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
             torsion = factors.get(q, ())
-            assert profile.betti(q) == betti
-            assert profile.torsion(q) == torsion
+            assert groups.get(q, (0, ())) == (betti, torsion)
 
 
 def test_verify_alexander_duality_examples():
@@ -576,6 +578,30 @@ def test_duality_holds_for_torsion():
     # duality moves the projective-plane torsion into degree n-3 cohomology
     # of the dual; verify degreewise equality on the 6-vertex triangulation
     assert verify_alexander_duality(rp2())
+
+
+def test_alexander_duality_holds_rejects_wrong_profiles():
+    # RP^2 with a circle wedged on at vertex 1: H~_1 = Z + Z/2
+    wedge = SimplicialComplex(range(1, 9), RP2_FACETS + [{1, 7}, {7, 8}, {1, 8}])
+    sphere = simplex_boundary([1, 2, 3, 4])
+    for k, profile in [
+        (rp2(), HomologyProfile(((1, 0, (2,)),))),
+        (wedge, HomologyProfile(((1, 1, (2,)),))),
+        (sphere, HomologyProfile(((2, 1, ()),))),
+    ]:
+        assert reduced_homology(k) == profile
+        assert alexander_duality_holds(k, profile)
+        wrong = [
+            profile.shifted(1),
+            profile.shifted(-1),
+            # torsion dropped; on the wedge the free part stays, so only the
+            # torsion tells the profiles apart
+            HomologyProfile(tuple((q, b, ()) for q, b, _ in profile.groups if b)),
+            HomologyProfile(tuple((q, b + 1, t) for q, b, t in profile.groups)),
+        ]
+        for bad in wrong:
+            if bad != profile:
+                assert not alexander_duality_holds(k, bad), (k, bad)
 
 
 @settings(max_examples=60, deadline=None)

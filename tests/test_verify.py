@@ -25,7 +25,7 @@ def test_petersen_shape():
     g = petersen()
     assert g.n == 10
     assert g.num_edges() == 15
-    assert all(g.degree(v) == 3 for v in g.vertices())
+    assert all(len(g.adj[v]) == 3 for v in g.vertices())
     assert girth(g) == 5
 
 
@@ -207,3 +207,22 @@ def test_predicate_recipes_report_their_verdict():
         assert (entry.id, entry.expected, entry.computed, entry.passed, entry.note) == (
             "p", "holds", "what ran", ok, "n=3"
         )
+
+
+def test_duality_rider_follows_the_cap(monkeypatch):
+    from cutcomplexes import cycle, total_cut_complex
+    from cutcomplexes.verify import TheoremInstance, run_instance
+
+    def note(n):
+        inst = TheoremInstance(
+            id=f"c{n}", ground_size=n, build=lambda: total_cut_complex(cycle(n), 2),
+            expected=WedgeClaim.spheres(n - 4), duality_rider=True,
+        )
+        entry = run_instance(inst)
+        assert entry.passed
+        return entry.note
+
+    # the rider runs on ground sets up to DUALITY_CHECK_CAP (12) and no further
+    assert (note(12), note(13)) == ("duality ok", "")
+    monkeypatch.setattr(cutcomplexes.verify, "DUALITY_CHECK_CAP", 6)
+    assert (note(6), note(7)) == ("duality ok", "")
