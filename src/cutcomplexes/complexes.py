@@ -544,22 +544,32 @@ def complex_from_json(obj):
     if not _is_vertex_list(ground):
         raise ValueError('"ground" must be a list of integers')
     if len(set(ground)) != len(ground):
-        twice = next(v for i, v in enumerate(ground) if v in ground[:i])
-        raise ValueError(f'"ground" lists vertex {twice} twice')
+        raise ValueError(f'"ground" lists vertex {_repeated(ground)} twice')
     if not isinstance(void, bool):
         raise ValueError(f'"void" must be true or false, got {void!r}')
     if not isinstance(facets, list):
         raise ValueError('"facets" must be a list of vertex lists')
+    first = {}
     for i, f in enumerate(facets):
         if not _is_vertex_list(f):
             raise ValueError(
                 f"facets[{i}]: expected a list of integer vertices, got {f!r}"
             )
+        if len(set(f)) != len(f):
+            raise ValueError(f"facets[{i}]: vertex {_repeated(f)} appears twice")
+        j = first.setdefault(frozenset(f), i)
+        if j != i:
+            raise ValueError(f"facets[{i}] repeats facets[{j}]")
     if void:
         if facets:
             raise ValueError("a void complex cannot list facets")
         return void_complex(ground)
-    return SimplicialComplex(ground, [frozenset(f) for f in facets])
+    return SimplicialComplex(ground, list(first))
+
+
+def _repeated(vertices):
+    """The first vertex that a list with repeats names a second time."""
+    return next(v for i, v in enumerate(vertices) if v in vertices[:i])
 
 
 def _is_vertex_list(obj):

@@ -27,14 +27,15 @@ unit-pivot elimination, then a dense reduction of each connected block of the
 residual.  Torsion of degree s comes from the boundary from degree s+1.
 Relative chain complexes assemble every degree, with s = -2.
 
-Degrees are reduced from the top down with clearing: every unit pivot row of
-the boundary from degree q+1 names a degree-q column that is dropped from the
-boundary from degree q.  This is exact over the integers.  The unit pivots
-span a submatrix of determinant +-1, so the boundaries of their columns,
-together with the basis elements of the other rows, form a basis of the
-degree-q chains; the boundary map vanishes on the former, and on the latter it
-is the boundary matrix without the cleared columns.  Rank and invariant
-factors therefore do not change.
+Degrees are reduced from the top down with clearing, each boundary as its
+transpose (one elimination row per simplex): the unit pivot columns of the
+boundary from degree q+1 are degree-q faces, and their columns are dropped
+from the boundary from degree q.  This is exact over the integers.  The unit
+pivots span a submatrix of determinant +-1, so the boundaries of the pivot
+(q+1)-faces, together with the degree-q faces off the pivot columns, form a
+basis of the degree-q chains; the boundary map vanishes on the former, and on
+the latter it is the boundary matrix without the cleared columns.  Rank and
+invariant factors therefore do not change.
 
 The composition of consecutive boundaries is checked to vanish on every
 constructed complex, exactly and without building it: a composed entry counts
@@ -186,19 +187,6 @@ class ChainComplex:
         if -1 <= q <= self.complete_to:
             return comb(len(self.ground), q + 1)
         return len(self.bases.get(q, ()))
-
-    def boundary_rows(self, q, skip=()):
-        """Boundary matrix of degree q as a dict-of-rows sparse matrix.
-
-        Columns whose index is in ``skip`` are left out.
-        """
-        rows = {}
-        for j, col in enumerate(self.columns.get(q, ())):
-            if j in skip:
-                continue
-            for i, s in col:
-                rows.setdefault(i, {})[j] = s
-        return rows
 
     def euler_characteristic(self):
         """Alternating sum of basis sizes over the augmented complex."""
@@ -358,13 +346,13 @@ def homology_of_chain(cc: ChainComplex):
     for q in range(top, max(cc.complete_to, -1), -1):
         if not cc.bases.get(q):
             continue
-        # clearing: columns that were unit pivot rows one degree up drop out
-        # without changing rank or torsion (see the module docstring)
+        # the transpose, one row per column; faces that were unit pivot columns
+        # one degree up drop out, keeping rank and torsion (module docstring)
         pivots = set()
-        factors, rank = smith_normal_form(
-            cc.boundary_rows(q, skip=cleared), pivot_rows=pivots
+        factors, ranks[q] = smith_normal_form(
+            {j: dict(col) for j, col in enumerate(cc.columns[q]) if j not in cleared},
+            pivot_cols=pivots,
         )
-        ranks[q] = rank
         torsion_from[q] = tuple(f for f in factors if f != 1)
         cleared = pivots
     groups = []

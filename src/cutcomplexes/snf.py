@@ -6,8 +6,9 @@ on a dict-of-rows: while some column still holds a +-1, that column is cleared
 with row operations from the unit row with the fewest nonzeros, and the pivot
 row is retired (its column is a singleton by then, so the column operations
 that would clear it touch nothing else).  Each retired pivot contributes an
-invariant factor 1, and the keys of the pivot rows can be handed back to the
-caller, which uses them to clear columns of the next boundary down.
+invariant factor 1.  Homology hands each boundary over as its transpose (the
+Smith normal form is the same), one row per simplex, so the keys of the pivot
+columns are faces one degree down, which it clears from the next boundary.
 
 What no unit pivot reaches is the residual.  It is split into connected
 blocks, rows linked by a shared column, and each block goes to the textbook
@@ -68,22 +69,22 @@ def invariant_chain(values):
     return [1] * ones + rest
 
 
-def smith_normal_form(matrix, pivot_rows=None):
+def smith_normal_form(matrix, pivot_cols=None):
     """Invariant factors (d1 | d2 | ... | dr, all > 0) and rank r.
 
     ``matrix`` is a sequence of rows or a dict-of-rows mapping; the input is
-    not modified.  The zero matrix yields ``([], 0)``.  When ``pivot_rows`` is
-    a set, the keys of the rows taken as unit pivots are added to it.
+    not modified.  The zero matrix yields ``([], 0)``.  When ``pivot_cols`` is
+    a set, the keys of the columns taken as unit pivots are added to it.
     """
     rows = _to_rows(matrix)
-    diag = [1] * _unit_pivots(rows, pivot_rows)
+    diag = [1] * _unit_pivots(rows, pivot_cols)
     for block in _blocks(rows):
         diag.extend(smith_normal_form_dense(block)[0])
     factors = invariant_chain(diag)
     return factors, len(factors)
 
 
-def _unit_pivots(rows, pivot_rows=None):
+def _unit_pivots(rows, pivot_cols=None):
     """Eliminate +-1 pivots from ``rows`` in place; returns how many were taken.
 
     While some column holds a +-1, that column is cleared with row operations
@@ -127,8 +128,8 @@ def _unit_pivots(rows, pivot_rows=None):
             if not row:
                 del rows[i]
         taken += 1
-        if pivot_rows is not None:
-            pivot_rows.add(r)
+        if pivot_cols is not None:
+            pivot_cols.add(c)
     return taken
 
 

@@ -121,6 +121,10 @@ MALFORMED_COMPLEXES = [
      "error: \"void\" must be true or false, got 'no'"),
     ('{"ground": [1, 1, 2], "facets": [[1, 2]], "void": false}',
      "error: \"ground\" lists vertex 1 twice"),
+    ('{"ground": [1, 2, 3], "facets": [[1, 1, 2], [1, 2]], "void": false}',
+     "error: facets[0]: vertex 1 appears twice"),
+    ('{"ground": [1, 2], "facets": [[1, 2], [2, 1]], "void": false}',
+     "error: facets[1] repeats facets[0]"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Homology engine: Smith normal form, chain complexes, reduced/relative
 homology, universal coefficients, and Alexander duality."""
 
+import copy
 import random
 from collections import Counter
 from itertools import combinations
@@ -167,20 +168,35 @@ def test_snf_recovers_planted_invariant_factors():
         assert (factors, rank) == smith_normal_form_dense(mat)
 
 
-def test_snf_pivot_row_collector():
+def test_snf_pivot_column_collector():
     acc = set()
-    assert smith_normal_form([[1, 0, 0], [0, -1, 0], [0, 0, 1]], pivot_rows=acc) == (
+    assert smith_normal_form([[1, 0, 0], [0, -1, 0], [0, 0, 1]], pivot_cols=acc) == (
         [1, 1, 1], 3,
     )
     assert acc == {0, 1, 2}
-    # a row that is only reached through the residual is no unit pivot
+    # a column that is only reached through the residual is no unit pivot
     acc = set()
-    assert smith_normal_form({5: {0: 1, 1: 2}, 7: {1: 4}}, pivot_rows=acc) == ([1, 4], 2)
-    assert acc == {5}
+    assert smith_normal_form({5: {0: 1, 1: 2}, 7: {1: 4}}, pivot_cols=acc) == ([1, 4], 2)
+    assert acc == {0}
     acc = set()
-    assert smith_normal_form({}, pivot_rows=acc) == ([], 0) and not acc
+    assert smith_normal_form({}, pivot_cols=acc) == ([], 0) and not acc
+    # row keys and column keys differ: only the column keys are collected
+    acc = set()
+    assert smith_normal_form({10: {3: 1}, 20: {3: 1, 4: -1}}, pivot_cols=acc) == (
+        [1, 1], 2,
+    )
+    assert acc == {3, 4}
     # explicit zeros in a dict-of-rows are no entries
     assert smith_normal_form({0: {0: 1, 1: 0}, 1: {0: 0, 1: 3}}) == ([1, 3], 2)
+
+
+def test_snf_leaves_its_input_unchanged():
+    rows = {0: {0: 1, 1: 0, 2: 2}, 3: {0: 0, 1: -1}, 4: {}, 5: {2: 4, 1: 2}}
+    lists = [[2, 4, 0], [1, 0, 0], [0, 0, 0], [6, 8, 1]]
+    for mat in (rows, lists):
+        before = copy.deepcopy(mat)
+        smith_normal_form(mat, pivot_cols=set())
+        assert mat == before
 
 
 def _residual_blocks(mat):
@@ -250,6 +266,15 @@ def boundary_dense(cc, q):
         for i, s in col:
             mat[i][j] = s
     return mat
+
+
+def boundary_rows(cc, q):
+    """Boundary matrix of degree q as a dict-of-rows (rows: degree q-1 basis)."""
+    rows = {}
+    for j, col in enumerate(cc.columns.get(q, ())):
+        for i, s in col:
+            rows.setdefault(i, {})[j] = s
+    return rows
 
 
 def test_chain_complex_shapes():
@@ -551,7 +576,7 @@ def test_cohomology_against_cochain_complex():
         ranks = {}
         factors = {}
         for q in range(0, cc.top + 1):
-            fs, r = smith_normal_form(cc.boundary_rows(q))
+            fs, r = smith_normal_form(boundary_rows(cc, q))
             ranks[q] = r
             factors[q] = tuple(f for f in fs if f != 1)
         ranks[cc.top + 1] = 0
