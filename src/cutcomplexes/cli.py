@@ -7,7 +7,8 @@ compose through pipes::
     cutcomplexes complex build --kind totalcut --d 2 --graph c6.json | cutcomplexes homology
 
 Exit status: 0 on success, 1 when a verification suite reports failures,
-2 on usage errors (including malformed input files).
+2 on usage errors (including malformed input files), 141 (the SIGPIPE status)
+when the reader closes standard output early, as ``| head`` can.
 """
 
 from __future__ import annotations
@@ -214,7 +215,12 @@ def main(argv=None):
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        sys.stdout = None  # or the interpreter's flush at exit fails again
+        return 141
     except (gr.GraphFormatError, SizeCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,8 +3,8 @@
 A complex is facet-represented: the ground set is declared (phantom vertices
 allowed), the facets are the inclusion-maximal simplices, and the void complex
 (no simplices at all) is distinct from ``{emptyset}`` (exactly one empty
-facet).  Simplices are enumerated on demand, within a work budget, and held
-as bitmasks over the ground set.
+facet).  Simplices are enumerated on demand by one budgeted face walk
+(``SimplicialComplex.face_levels``) and held as bitmasks over the ground set.
 
 The two graph complexes:
 
@@ -45,7 +45,7 @@ def _prune_to_maximal(masks):
 class SimplicialComplex:
     """Immutable abstract simplicial complex on a declared ground set."""
 
-    __slots__ = ("ground", "facets", "_bit", "_facet_masks", "_simplices")
+    __slots__ = ("ground", "facets", "_bit", "_facet_masks")
 
     def __init__(self, ground, facets):
         ground = tuple(sorted(set(ground)))
@@ -63,7 +63,6 @@ class SimplicialComplex:
         self.facets = fsets
         self._bit = bit
         self._facet_masks = None
-        self._simplices = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -93,7 +92,6 @@ class SimplicialComplex:
         self.facets = frozenset(
             frozenset(self._unmask(m)) for m in self._facet_masks
         )
-        self._simplices = None
         return self
 
     def _mask(self, vertices):
@@ -144,35 +142,40 @@ class SimplicialComplex:
                 return True
         return False
 
-    def check_enumeration_budget(self, cap=None):
-        """Raise ``SizeCapError`` if enumerating the simplices is over budget.
+    def face_levels(self, cap=None):
+        """Yield ``(t, set of t-face masks)`` from the largest facets down.
 
-        Ground sets up to the cap always pass; wider ones pass as long as the
-        facets keep the enumeration within the 2^cap work budget.
+        Level t is the facets of size t and every one-vertex deletion of a
+        face in level t+1.  Every face counts against the 2^cap budget at any
+        ground size, checked after each coface, and ``SizeCapError`` is raised
+        once the count goes over.  The void complex has no levels.
         """
         limit = resolve_cap(cap)
-        if len(self.ground) > limit:
-            est = sum(1 << f.bit_count() for f in self.facet_masks())
-            if est > 1 << limit:
-                raise SizeCapError(
-                    f"simplex enumeration over {len(self.ground)} ground "
-                    f"vertices exceeds the 2^{limit} budget"
-                )
+        room = 1 << limit  # faces the walk may still make
+        by_size = {}
+        for f in self.facet_masks():
+            by_size.setdefault(f.bit_count(), []).append(f)
+        level = ()
+        for t in range(max(by_size, default=-1), -1, -1):
+            below = set(by_size.get(t, ()))
+            for m in level:
+                mm = m
+                while mm:
+                    low = mm & -mm
+                    mm ^= low
+                    below.add(m ^ low)
+                if len(below) > room:
+                    raise SizeCapError(
+                        f"simplex enumeration over {len(self.ground)} ground "
+                        f"vertices exceeds the 2^{limit} budget"
+                    )
+            room -= len(below)
+            yield t, below
+            level = below
 
     def simplex_masks(self, cap=None):
-        """All simplices as bitmasks (ascending); enumeration is budgeted."""
-        if self._simplices is None:
-            self.check_enumeration_budget(cap)
-            seen = set()
-            for f in self.facet_masks():
-                sub = f
-                while True:
-                    seen.add(sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & f
-            self._simplices = sorted(seen)
-        return self._simplices
+        """All simplices as bitmasks, ascending; the face walk's budget applies."""
+        return sorted(m for _, level in self.face_levels(cap) for m in level)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):

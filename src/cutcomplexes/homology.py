@@ -8,16 +8,17 @@ normal forms: Betti numbers from ranks, torsion from invariant factors.
 its input (``complexes.strong_core``), not of the input itself.  Deleting a
 dominated vertex is a strong collapse and keeps the homotopy type
 (Barmak-Minian, DCG 2012), so the groups, torsion included, are those of the
-input.  The enumeration budget is still checked against the input.  Relative
-homology builds its quotient complex from the pair as given.
+input.  The enumeration budget counts the faces made for the core; the input
+is not checked.  Relative homology builds its quotient complex from the pair
+as given.
 
 Chain groups are built only above the complete skeleton.  Let s be the
 highest degree such that every degree from -1 up to s holds all C(n, q+1)
 (q+1)-subsets of the ground set.  Those degrees are never enumerated: their
 sizes are binomial coefficients, and each boundary between two of them is the
 standard simplex boundary, of rank C(n-1, q) with all invariant factors 1.
-``chain_complex`` finds s from face counts, enumerating faces level by level
-from the facets down and stopping at the first complete level; completeness
+``chain_complex`` finds s from face counts, taking faces level by level from
+the face walk and stopping at the first complete level; completeness
 is closed downward, so every level below it is complete too.  Degrees above s
 are assembled, each basis listing its simplex bitmasks in ascending integer
 (colex) order.  The rows of the lowest assembled boundary, from degree s+1,
@@ -286,35 +287,22 @@ def _check_boundary_squares_to_zero(cc):
 def chain_complex(k: SimplicialComplex, cap=None):
     """Augmented chain complex of a complex; void complexes yield the zero complex.
 
-    Faces are enumerated from the top down: the faces of size t are the
-    facets of size t and every one-vertex deletion of a face of size t+1.
-    The first level holding all C(n, t) t-subsets of the ground set is
-    counted, not kept, and fixes ``complete_to`` = t-1; the level {emptyset}
-    is always complete.  The boundary of an ascending simplex [v0 < ... < vq]
-    alternates signs over vertex omissions; each vertex maps to the empty
-    simplex with coefficient +1.
+    Faces come level by level from ``SimplicialComplex.face_levels``, whose
+    2^cap budget counts only the levels made.  The first level holding all
+    C(n, t) t-subsets of the ground set is counted, not kept, and fixes
+    ``complete_to`` = t-1; the walk stops there, at {emptyset} at the
+    latest.  The boundary of an ascending simplex [v0 < ... < vq] alternates
+    signs over vertex omissions; each vertex maps to the empty simplex with
+    coefficient +1.
     """
     if k.is_void:
         return ChainComplex(tuple(k.ground), {}, {}, void=True)
-    k.check_enumeration_budget(cap)
     n = len(k.ground)
-    facets_by_size = {}
-    for f in k.facet_masks():
-        facets_by_size.setdefault(f.bit_count(), []).append(f)
-    t = max(facets_by_size)
-    level = set(facets_by_size[t])
     by_degree = {}
-    while len(level) != comb(n, t):
+    for t, level in k.face_levels(cap):
+        if len(level) == comb(n, t):
+            break
         by_degree[t - 1] = sorted(level)
-        t -= 1
-        below = set(facets_by_size.get(t, ()))
-        for m in level:
-            mm = m
-            while mm:
-                low = mm & -mm
-                mm ^= low
-                below.add(m ^ low)
-        level = below
     return _assemble(k.ground, by_degree, complete_to=t - 1)
 
 
@@ -322,15 +310,18 @@ def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex, cap=None)
     """Quotient chain complex of a pair: basis = simplices of k not in l."""
     if tuple(l.ground) != tuple(k.ground):
         raise ValueError("relative homology needs complexes on one ground set")
-    kmasks = k.simplex_masks(cap)
-    lmasks = set(l.simplex_masks(cap)) if not l.is_void else set()
-    if not lmasks <= set(kmasks):
-        raise ValueError("second complex is not a subcomplex of the first")
+    lfaces = set().union(*(level for _, level in l.face_levels(cap)))
     by_degree = {}
-    for m in kmasks:
-        if m not in lmasks:
-            by_degree.setdefault(m.bit_count() - 1, []).append(m)
-    return _assemble(k.ground, by_degree, dropped=lmasks)
+    shared = 0
+    for t, level in k.face_levels(cap):
+        kept = level - lfaces
+        shared += len(level) - len(kept)
+        if kept:
+            by_degree[t - 1] = sorted(kept)
+    # the levels of k are disjoint, so l lies in k iff each of its faces is shared
+    if shared != len(lfaces):
+        raise ValueError("second complex is not a subcomplex of the first")
+    return _assemble(k.ground, by_degree, dropped=lfaces)
 
 
 def homology_of_chain(cc: ChainComplex):
@@ -372,12 +363,11 @@ def homology_of_chain(cc: ChainComplex):
 def reduced_homology(k: SimplicialComplex, cap=None):
     """Exact reduced homology: Betti numbers and torsion per degree.
 
-    The enumeration budget applies to ``k`` itself; the chain complex is then
-    built on its strong-collapse core, which has the same homotopy type.  The
-    complex {emptyset} reports one Z in degree -1; the void complex reports
-    the empty, void-flagged profile.
+    The chain complex is built on the strong-collapse core of ``k``, which has
+    the same homotopy type, and the 2^cap budget counts the faces made for
+    the core.  The complex {emptyset} reports one Z in degree -1; the void
+    complex reports the empty, void-flagged profile.
     """
-    k.check_enumeration_budget(cap)
     return homology_of_chain(chain_complex(strong_core(k), cap))
 
 

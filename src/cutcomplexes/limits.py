@@ -1,15 +1,15 @@
 """Size guards shared across the package.
 
 Everything here is exact arithmetic at desk scale; the guards stop accidental
-exponential blowups, not legitimate use.  Caps can be raised explicitly: most
-functions take a ``cap`` argument, the CLI has ``--force N``, and the
-``CUTCOMPLEXES_MAX_GROUND`` environment variable overrides the default
-ground-set cap.
+exponential blowups, not legitimate use.  The cap bounds ground sets of
+exhaustive builders and, as 2^cap, the faces the face walk may make.  Caps
+can be raised explicitly: most functions take a ``cap`` argument, the CLI has
+``--force N``, and ``CUTCOMPLEXES_MAX_GROUND`` overrides the default.
 """
 
 import os
 
-# Ground-set size cap for full simplex enumeration and homology.
+# Default cap: 20 ground vertices for exhaustive builders, 2^20 walked faces.
 ENUM_CAP = 20
 # Vertex cap for the exact independence number without an explicit override.
 INDEPENDENCE_CAP = 24

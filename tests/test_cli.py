@@ -145,36 +145,61 @@ def test_unknown_subcommand_exits_2(capsys):
     assert exc.value.code == 2
 
 
+def cross_polytope_payload():
+    # boundary of the 5-dimensional cross-polytope: 10 vertices, 243 faces, S^4
+    facets = [[2 * i + 1 + (c >> i & 1) for i in range(5)] for c in range(32)]
+    return json.dumps({"ground": list(range(1, 11)), "facets": facets, "void": False})
+
+
+SPHERE_S4 = [{"degree": 4, "betti": 1, "torsion": []}]
+
+
 def test_force_raises_cap(capsys, monkeypatch):
     # lower the cap through the environment, then override it with --force
-    import cutcomplexes as cc
-
-    k = cc.full_simplex(range(1, 11))
-    payload = json.dumps(cc.complex_to_json(k))
+    payload = cross_polytope_payload()
     monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, _, err = run_cli(capsys, "homology")
-    assert code == 2 and "budget" in err.lower()
+    assert code == 2 and "2^5 budget" in err
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run_cli(capsys, "homology", "--force", "12")
     assert code == 0
-    assert json.loads(out)["reduced"] == []
+    assert json.loads(out)["reduced"] == SPHERE_S4
 
 
 def test_env_var_mirrors_force(capsys, monkeypatch):
-    import cutcomplexes as cc
-
-    k = cc.full_simplex(range(1, 11))
-    payload = json.dumps(cc.complex_to_json(k))
-    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "4")
+    payload = cross_polytope_payload()
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "7")
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, _, err = run_cli(capsys, "homology")
-    assert code == 2 and "budget" in err.lower()
-    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "12")
+    assert code == 2 and "2^7 budget" in err
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "8")
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     code, out, _ = run_cli(capsys, "homology")
     assert code == 0
-    assert json.loads(out)["reduced"] == []
+    assert json.loads(out)["reduced"] == SPHERE_S4
+
+
+def test_totalcut_of_grid_over_the_ground_cap(capsys, monkeypatch):
+    # 21 ground vertices, above the cap of 20, within the 2^20 faces the
+    # homology of the core makes: a wedge of 12 = cycle rank S^17
+    code, complex_json, _ = run_cli(
+        capsys, "complex", "build", "--kind", "totalcut", "--d", "2", "grid:3,7"
+    )
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(complex_json))
+    code, out, err = run_cli(capsys, "homology")
+    assert code == 0, err
+    assert json.loads(out)["reduced"] == [{"degree": 17, "betti": 12, "torsion": []}]
+
+
+def test_closed_stdout_exits_141(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["verify", "--suite", "poset"]) == 141
 
 
 def test_complex_build_force_sets_alpha_table_cap(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cutcomplexes import (
     Graph,
     SimplicialComplex,
+    SizeCapError,
     alexander_dual,
     bounded_independence_complex,
     complete,
@@ -39,6 +40,7 @@ from cutcomplexes.complexes import (
     minimal_transversals,
 )
 from cutcomplexes.graphs import delete_vertices
+from cutcomplexes.homology import relative_chain_complex
 from cutcomplexes.posets import compositions
 
 
@@ -177,6 +179,71 @@ def test_downward_closure(k):
             low = mm & -mm
             mm ^= low
             assert (m ^ low) in masks
+
+
+def simplices_by_facet_subsets(k):
+    """Oracle for the face walk: every subset of every facet, ascending."""
+    seen = set()
+    for f in k.facet_masks():
+        sub = f
+        while True:
+            seen.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    return sorted(seen)
+
+
+def random_sub_facets(k, rng):
+    """Random subsets of a random choice of k's facets (a subcomplex of k)."""
+    return [
+        {v for v in f if rng.random() < 0.7}
+        for f in k.facets
+        if rng.random() < 0.6
+    ]
+
+
+def test_face_walk_matches_facet_subsets():
+    rng = random.Random(14)
+    cases = [void_complex([1, 2]), empty_simplex_complex([1, 2])]
+    for _ in range(150):
+        # facets of mixed sizes; the last two ground vertices are phantom
+        n = rng.randint(1, 9)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(0, n))
+            for _ in range(rng.randint(0, 6))
+        ]
+        cases.append(SimplicialComplex.from_facet_candidates(range(1, n + 3), facets))
+    for k in cases:
+        faces = simplices_by_facet_subsets(k)
+        assert k.simplex_masks() == faces
+        if len(faces) > 1:
+            # the walk counts each face once against 2^cap
+            cap = (len(faces) - 1).bit_length()
+            assert len(k.simplex_masks(cap)) == len(faces)
+            with pytest.raises(SizeCapError, match="budget"):
+                k.simplex_masks(cap - 1)
+        # relative bases: the faces of k off a subcomplex, or a refusal when
+        # the second complex does not lie in k
+        other = rng.choice(cases)
+        for l in (
+            void_complex(k.ground),
+            k,
+            SimplicialComplex.from_facet_candidates(k.ground, random_sub_facets(k, rng)),
+            SimplicialComplex.from_facet_candidates(
+                k.ground, [f for f in other.facets if set(f) <= set(k.ground)]
+            ),
+        ):
+            lfaces = set(simplices_by_facet_subsets(l))
+            if not lfaces <= set(faces):
+                with pytest.raises(ValueError, match="subcomplex"):
+                    relative_chain_complex(k, l)
+                continue
+            expected = {}
+            for m in faces:
+                if m not in lfaces:
+                    expected.setdefault(m.bit_count() - 1, []).append(m)
+            assert relative_chain_complex(k, l).bases == expected
 
 
 # -- graph complex builders ---------------------------------------------------------

@@ -317,12 +317,33 @@ def test_chain_complex_totalcut_c6():
     assert cc.basis_size(3) == 9
 
 
+def cross_polytope_boundary(n):
+    """Boundary of the n-dimensional cross-polytope, an (n-1)-sphere: its
+    facets take one of {2i+1, 2i+2} for each i < n, and it has 3^n faces."""
+    return SimplicialComplex(
+        range(1, 2 * n + 1),
+        [{2 * i + 1 + (c >> i & 1) for i in range(n)} for c in range(1 << n)],
+    )
+
+
 def test_chain_complex_cap():
-    with pytest.raises(SizeCapError):
-        chain_complex(full_simplex(range(1, 25)))
-    # the budget applies to the input, although its core is a single vertex
-    with pytest.raises(SizeCapError):
-        reduced_homology(full_simplex(range(1, 25)))
+    # the face walk counts the faces it makes against 2^cap: 243 faces here
+    sphere = cross_polytope_boundary(5)
+    for cap in (5, 7):
+        with pytest.raises(SizeCapError, match=rf"exceeds the 2\^{cap} budget"):
+            chain_complex(sphere, cap)
+        with pytest.raises(SizeCapError):
+            reduced_homology(sphere, cap)
+        with pytest.raises(SizeCapError):
+            sphere.simplex_masks(cap)
+        with pytest.raises(SizeCapError):
+            relative_chain_complex(sphere, void_complex(sphere.ground), cap)
+    assert reduced_homology(sphere, 8).groups == ((4, 1, ()),)
+    assert len(sphere.simplex_masks(8)) == 243
+    # over 24 ground vertices, the full simplex is one complete level
+    cc = chain_complex(full_simplex(range(1, 25)))
+    assert cc.complete_to == 23 and not cc.bases
+    assert reduced_homology(full_simplex(range(1, 25))).describe() == "0"
 
 
 def test_boundary_check_catches_corrupted_matrices():
