@@ -95,19 +95,20 @@ def _build_parser():
     p_build.add_argument("descriptor", nargs="?", default=None)
     p_build.add_argument("-o", "--output", default=None)
     p_build.add_argument("--force", type=int, default=None, metavar="N",
-                         help="raise the ground-set cap to N")
+                         help="raise the work budget to 2^N")
 
     p_hom = sub.add_parser("homology", help="reduced homology of a complex")
     p_hom.add_argument("--complex", dest="complex_file", default=None,
                        help="complex JSON file (default: stdin)")
     p_hom.add_argument("-o", "--output", default=None)
     p_hom.add_argument("--force", type=int, default=None, metavar="N",
-                       help="raise the ground-set cap to N")
+                       help="raise the work budget to 2^N")
 
     p_dual = sub.add_parser("dual", help="Alexander dual of a complex")
     p_dual.add_argument("--complex", dest="complex_file", required=True)
     p_dual.add_argument("-o", "--output", default=None)
-    p_dual.add_argument("--force", type=int, default=None, metavar="N")
+    p_dual.add_argument("--force", type=int, default=None, metavar="N",
+                        help="raise the work budget to 2^N")
 
     p_poset = sub.add_parser("poset", help="order complex of a composition poset")
     p_poset.add_argument("--d", type=int, required=True)
@@ -146,7 +147,7 @@ def _cmd_gen(args):
 def _cmd_complex(args):
     g = _graph_from_args(args)
     if args.kind == "totalcut":
-        k = total_cut_complex(g, args.d)
+        k = total_cut_complex(g, args.d, cap=args.force)
     else:
         k = bounded_independence_complex(g, args.d, cap=args.force)
     _emit(complex_to_json(k), args.output)

@@ -27,9 +27,10 @@ JSON (``complex_to_json``, ``complex_from_json``).
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .graphs import Graph
-from .limits import SizeCapError, resolve_cap
+from .limits import budget
 
 
 def _prune_to_maximal(masks):
@@ -146,12 +147,12 @@ class SimplicialComplex:
         """Yield ``(t, set of t-face masks)`` from the largest facets down.
 
         Level t is the facets of size t and every one-vertex deletion of a
-        face in level t+1.  Every face counts against the 2^cap budget at any
-        ground size, checked after each coface, and ``SizeCapError`` is raised
-        once the count goes over.  The void complex has no levels.
+        face in level t+1.  Every face counts against the 2^cap budget
+        (``limits.budget``), checked after each coface.  The void complex has
+        no levels.
         """
-        limit = resolve_cap(cap)
-        room = 1 << limit  # faces the walk may still make
+        spend = budget(f"simplex enumeration over {len(self.ground)} ground vertices", cap)
+        left = spend(0)
         by_size = {}
         for f in self.facet_masks():
             by_size.setdefault(f.bit_count(), []).append(f)
@@ -164,12 +165,9 @@ class SimplicialComplex:
                     low = mm & -mm
                     mm ^= low
                     below.add(m ^ low)
-                if len(below) > room:
-                    raise SizeCapError(
-                        f"simplex enumeration over {len(self.ground)} ground "
-                        f"vertices exceeds the 2^{limit} budget"
-                    )
-            room -= len(below)
+                if len(below) > left:
+                    spend(len(below))  # more than is left: raises
+            left = spend(len(below))
             yield t, below
             level = below
 
@@ -225,7 +223,7 @@ def empty_simplex_complex(ground=()):
 # -- hypergraph dualization ----------------------------------------------------
 
 
-def minimal_transversals(edges, n):
+def minimal_transversals(edges, n, cap=None):
     """Minimal transversals of a hypergraph on vertices 0..n-1, ascending.
 
     ``edges`` are vertex bitmasks; a transversal is a vertex set meeting every
@@ -236,11 +234,14 @@ def minimal_transversals(edges, n):
     minimal.  Each minimal transversal is found once, and the work in practice
     follows the output, not the 2^n subsets.  No edges gives ``[0]``; an empty
     edge gives ``[]``.  Duplicate or non-minimal edges do not change the answer.
+    Each call of the search counts one unit against the 2^cap budget.
     """
     found = []
+    spend = budget(f"minimal transversal search over {n} vertices", cap)
 
     def walk(s, cand, uncov, crit):
         # crit[i] lists the edges meeting s only in its i-th vertex
+        spend()
         if not uncov:
             found.append(s)
             return
@@ -264,8 +265,10 @@ def minimal_transversals(edges, n):
 # -- graph complexes -----------------------------------------------------------
 
 
-def independent_set_masks(g: Graph, d):
-    """Bitmasks of all independent d-subsets of V(g)."""
+def independent_set_masks(g: Graph, d, cap=None):
+    """Bitmasks of all independent d-subsets of V(g); the C(n, d) subsets
+    tried are spent up front against the 2^cap budget."""
+    budget(f"scan of the C({g.n}, {d}) vertex {d}-sets", cap)(comb(g.n, d))
     opens = g.open_masks()
     out = []
     for combo in combinations(range(g.n), d):
@@ -281,11 +284,11 @@ def independent_set_masks(g: Graph, d):
     return out
 
 
-def _total_cut(g: Graph, d):
+def _total_cut(g: Graph, d, cap=None):
     n = g.n
     ground = range(1, n + 1)
     full = (1 << n) - 1
-    indep = independent_set_masks(g, d)
+    indep = independent_set_masks(g, d, cap)
     if not indep:
         return SimplicialComplex._from_masks(ground, [])
     facet_masks = sorted(full ^ s for s in indep)
@@ -293,16 +296,16 @@ def _total_cut(g: Graph, d):
     return k
 
 
-def total_cut_complex(g: Graph, d):
+def total_cut_complex(g: Graph, d, cap=None):
     """Complex of vertex sets whose complement keeps an independent d-set.
 
-    Facets are the complements of the independent d-sets (equal-size sets
-    never nest, so they are automatically inclusion-maximal).  Void exactly
-    when the independence number of g is below d.
+    Facets are the complements of the independent d-sets, found by a scan
+    that spends the 2^cap budget (equal-size sets never nest, so they are
+    inclusion-maximal).  Void exactly when the independence number is < d.
     """
     if d < 2:
         raise ValueError(f"total cut complex needs d >= 2, got {d}")
-    return _total_cut(g, d)
+    return _total_cut(g, d, cap)
 
 
 def bounded_independence_complex(g: Graph, d, cap=None):
@@ -310,19 +313,14 @@ def bounded_independence_complex(g: Graph, d, cap=None):
 
     A vertex set is a simplex iff its complement meets every independent
     d-set, so the facets are the complements of the minimal transversals of
-    the independent d-sets.  The vertex count is capped by ``cap``; at d = 2
-    this is the clique complex of g.
+    the independent d-sets.  At d = 2 this is the clique complex of g.  The
+    d-set scan and the transversal search each spend a 2^cap budget.
     """
     if d < 2:
         raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
     n = g.n
-    limit = resolve_cap(cap)
-    if n > limit:
-        raise SizeCapError(
-            f"bounded independence complex capped at {limit} vertices"
-        )
     full = (1 << n) - 1
-    transversals = minimal_transversals(independent_set_masks(g, d), n)
+    transversals = minimal_transversals(independent_set_masks(g, d, cap), n, cap)
     return SimplicialComplex._from_masks(
         range(1, n + 1), [full ^ t for t in transversals]
     )
@@ -337,18 +335,15 @@ def alexander_dual(k: SimplicialComplex, cap=None):
     The facets of the dual are the complements of the minimal non-faces of k,
     which are the minimal transversals of the facet complements; the dual of
     the full simplex is void and the dual of the void complex is the full
-    simplex.
+    simplex.  The transversal search spends the 2^cap budget.
     """
     n = len(k.ground)
     if n == 0:
         raise ValueError("Alexander dual needs a nonempty ground set")
-    limit = resolve_cap(cap)
-    if n > limit:
-        raise SizeCapError(f"Alexander dual capped at {limit} ground vertices")
     full = (1 << n) - 1
     # the non-faces of k are the sets meeting every facet complement; a void
     # k has no facets, so its one minimal non-face is the empty set
-    non_faces = minimal_transversals([full ^ f for f in k.facet_masks()], n)
+    non_faces = minimal_transversals([full ^ f for f in k.facet_masks()], n, cap)
     return SimplicialComplex._from_masks(k.ground, [full ^ t for t in non_faces])
 
 

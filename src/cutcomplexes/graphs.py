@@ -9,6 +9,7 @@ All measurements are exact: the independence number is computed by
 branch-and-bound, and ``alpha_table`` tabulates the independence number of
 every induced subgraph at once (one byte per vertex subset) for checks that
 read every subset, such as the coloring checks of the structural suite.
+Both count their work against the 2^cap budget of ``limits.budget``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import deque
 from itertools import combinations, product
 from math import inf
 
-from .limits import INDEPENDENCE_CAP, SizeCapError, resolve_cap
+from .limits import budget
 
 
 class GraphFormatError(ValueError):
@@ -100,15 +101,11 @@ class Graph:
         """Independence number of every induced subgraph, indexed by vertex bitmask.
 
         Entry ``t[m]`` is the independence number of the subgraph induced by
-        ``{v : bit v-1 of m set}``.  One byte per subset; the vertex count is
-        capped by ``limits.resolve_cap(cap)``.
+        ``{v : bit v-1 of m set}``.  One byte per subset: the table's 2^n
+        entries are spent up front against the 2^cap budget.
         """
         if self._alpha is None:
-            limit = resolve_cap(cap)
-            if self.n > limit:
-                raise SizeCapError(
-                    f"alpha_table needs 2^{self.n} bytes; capped at {limit} vertices"
-                )
+            budget(f"alpha_table over {self.n} vertices", cap)(1 << self.n)
             closed = self.closed_masks()
             table = bytearray(1 << self.n)
             for m in range(1, 1 << self.n):
@@ -268,26 +265,23 @@ def girth(g):
     return best
 
 
-def independence_number(g, *, force=False):
+def independence_number(g, cap=None):
     """Exact independence number by branch-and-bound.
 
     Branches on the highest-degree vertex remaining and prunes with the
-    trivial cardinality bound.  Guarded at 24 vertices; pass ``force=True``
-    for larger graphs.
+    trivial cardinality bound.  Each branch-and-bound node counts one unit
+    against the 2^cap budget.
     """
     if g.n == 0:
         return 0
-    if g.n > INDEPENDENCE_CAP and not force:
-        raise SizeCapError(
-            f"independence_number guarded at {INDEPENDENCE_CAP} vertices "
-            f"(got {g.n}); pass force=True to override"
-        )
+    spend = budget(f"independence number search over {g.n} vertices", cap)
     order = sorted(range(g.n), key=lambda i: -len(g.adj[i + 1]))
     opens = g.open_masks()
     best = 0
 
     def walk(cand, size):
         nonlocal best
+        spend()
         if size > best:
             best = size
         while cand:

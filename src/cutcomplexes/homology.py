@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import SimplicialComplex, alexander_dual, strong_core
-from .limits import DUALITY_CHECK_CAP, SizeCapError
 from .snf import smith_normal_form
 
 
@@ -194,7 +193,7 @@ class ChainComplex:
         return sum((-1) ** q * self.basis_size(q) for q in self.degrees)
 
 
-def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2):
+def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2, void=False):
     """Shared assembly for absolute and relative chain complexes.
 
     ``masks_by_degree`` lists each assembled degree's masks in ascending
@@ -202,7 +201,8 @@ def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2):
     excluded from the bases (the subcomplex of a relative pair); boundary
     entries into dropped faces are omitted.  Degrees up to ``complete_to``
     are complete and not assembled, so the boundary from the degree above
-    them takes its row keys from the face masks.
+    them takes its row keys from the face masks.  Only a void complex, never
+    an empty quotient such as H(k, k) = 0, is flagged ``void``.
     """
     bases = dict(masks_by_degree)
     columns = {}
@@ -238,8 +238,7 @@ def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2):
         faces = {m: ((i, 1), (i, -1)) for i, m in enumerate(bases[q])}
         below = q
     cc = ChainComplex(
-        tuple(ground), bases, columns, void=not bases and complete_to == -2,
-        complete_to=complete_to,
+        tuple(ground), bases, columns, void=void, complete_to=complete_to,
     )
     _check_boundary_squares_to_zero(cc)
     return cc
@@ -321,7 +320,7 @@ def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex, cap=None)
     # the levels of k are disjoint, so l lies in k iff each of its faces is shared
     if shared != len(lfaces):
         raise ValueError("second complex is not a subcomplex of the first")
-    return _assemble(k.ground, by_degree, dropped=lfaces)
+    return _assemble(k.ground, by_degree, dropped=lfaces, void=k.is_void)
 
 
 def homology_of_chain(cc: ChainComplex):
@@ -412,10 +411,6 @@ def alexander_duality_holds(k: SimplicialComplex, profile: HomologyProfile, cap=
 
 
 def verify_alexander_duality(k: SimplicialComplex, cap=None):
-    """Check Alexander duality on ``k`` from scratch, on at most
-    ``DUALITY_CHECK_CAP`` ground vertices."""
-    if len(k.ground) > DUALITY_CHECK_CAP:
-        raise SizeCapError(
-            f"duality verification capped at {DUALITY_CHECK_CAP} ground vertices"
-        )
+    """Check Alexander duality on ``k`` from scratch; each search in it spends
+    its own 2^cap budget."""
     return alexander_duality_holds(k, reduced_homology(k, cap), cap)

@@ -1,20 +1,19 @@
 """Size guards shared across the package.
 
 Everything here is exact arithmetic at desk scale; the guards stop accidental
-exponential blowups, not legitimate use.  The cap bounds ground sets of
-exhaustive builders and, as 2^cap, the faces the face walk may make.  Caps
-can be raised explicitly: most functions take a ``cap`` argument, the CLI has
-``--force N``, and ``CUTCOMPLEXES_MAX_GROUND`` overrides the default.
+exponential blowups, not legitimate use.  Every exhaustive search (the face
+walk, the minimal-transversal search, the independent d-set scan, the
+independence number and ``alpha_table``) counts the work it does against a
+budget of 2^cap units, whatever the ground size, and raises ``SizeCapError``
+once the count goes over.  The cap can be raised explicitly: the searches
+take a ``cap`` argument, the CLI has ``--force N``, and
+``CUTCOMPLEXES_MAX_GROUND`` overrides the default.
 """
 
 import os
 
-# Default cap: 20 ground vertices for exhaustive builders, 2^20 walked faces.
+# Default cap: every exhaustive search may do 2^20 units of work.
 ENUM_CAP = 20
-# Vertex cap for the exact independence number without an explicit override.
-INDEPENDENCE_CAP = 24
-# Ground-set cap for the two-sided Alexander duality verification.
-DUALITY_CHECK_CAP = 12
 # Element cap for composition-poset order complexes.
 POSET_ELEMENT_CAP = 5000
 
@@ -26,13 +25,27 @@ class SizeCapError(ValueError):
 
 
 def resolve_cap(cap=None):
-    """Effective ground-set cap: explicit argument, else env override, else default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(ENV_CAP)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise SizeCapError(f"{ENV_CAP} must be an integer, got {env!r}") from None
-    return ENUM_CAP
+    """Effective cap: explicit argument, else env override, else default."""
+    name, value = "the budget cap", cap
+    if cap is None:
+        name, value = ENV_CAP, os.environ.get(ENV_CAP) or str(ENUM_CAP)
+    if not str(value).isdecimal():
+        raise SizeCapError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def budget(what, cap=None):
+    """``spend(units=1)`` for one search: it counts work against 2^cap units,
+    returns the units left, and raises ``SizeCapError("<what> exceeds the
+    2^cap budget")`` past them."""
+    limit = resolve_cap(cap)
+    left = 1 << limit
+
+    def spend(units=1):
+        nonlocal left
+        left -= units
+        if left < 0:
+            raise SizeCapError(f"{what} exceeds the 2^{limit} budget")
+        return left
+
+    return spend

@@ -61,13 +61,14 @@ from .homology import (
     relative_homology,
     verify_alexander_duality,
 )
-from .limits import DUALITY_CHECK_CAP
 from .posets import composition_poset, expected_order_complex_claim, order_complex
 from .report import ReportEntry, VerificationReport
 
 DEFAULT_SEED = 1729
 # every recipe's ground size stays at or below this many vertices
 INSTANCE_GROUND_CAP = 14
+# wedge verdicts on at most this many ground vertices carry the duality rider
+DUALITY_CHECK_CAP = 12
 # random graphs drawn by the duality suite
 DUALITY_GRAPHS = 50
 

@@ -40,7 +40,7 @@ REPORT_DIGESTS = {
     "products": "18c84b3c33fdd8edda4ac92d3951dfb83b02959e5aeaf9afb56aed3a092d1217",
     "unions": "49b24d865a1298c26925b659fd3b14b62e73c1d2897f211e7441e867f706d032",
     "duality": "e223f133c796ec045e41b00709f2312d7b821e4d8e908828feea4c3be1b81b3e",
-    "structural": "43a190fd2056f1427bb49c12712aa9d62710438655a47ec764764be4deb587fa",
+    "structural": "7c89e3d366ebb10c0e594ac47976aa727479f79b93e6a61108863a7e07146a69",
     "poset": "76ec473a549f2948f113445cb2afb9c6bb48e8e4cf4f24a04371b7883d8d545a",
 }
 

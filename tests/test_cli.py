@@ -154,7 +154,7 @@ def cross_polytope_payload():
 SPHERE_S4 = [{"degree": 4, "betti": 1, "torsion": []}]
 
 
-def test_force_raises_cap(capsys, monkeypatch):
+def test_force_raises_cap(capsys, monkeypatch, tmp_path):
     # lower the cap through the environment, then override it with --force
     payload = cross_polytope_payload()
     monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
@@ -165,6 +165,15 @@ def test_force_raises_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "homology", "--force", "12")
     assert code == 0
     assert json.loads(out)["reduced"] == SPHERE_S4
+    # the dual's transversal search makes more than 2^5 nodes, at most 2^6;
+    # its facets are the complements of the five antipodal pairs
+    source = tmp_path / "sphere.json"
+    source.write_text(payload)
+    code, _, err = run_cli(capsys, "dual", "--complex", str(source), "--force", "5")
+    assert code == 2 and "2^5 budget" in err
+    code, out, _ = run_cli(capsys, "dual", "--complex", str(source), "--force", "6")
+    assert code == 0
+    assert len(json.loads(out)["facets"]) == 5
 
 
 def test_env_var_mirrors_force(capsys, monkeypatch):
@@ -181,16 +190,59 @@ def test_env_var_mirrors_force(capsys, monkeypatch):
 
 
 def test_totalcut_of_grid_over_the_ground_cap(capsys, monkeypatch):
-    # 21 ground vertices, above the cap of 20, within the 2^20 faces the
-    # homology of the core makes: a wedge of 12 = cycle rank S^17
-    code, complex_json, _ = run_cli(
-        capsys, "complex", "build", "--kind", "totalcut", "--d", "2", "grid:3,7"
-    )
-    assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(complex_json))
+    # 21 ground vertices, within the 2^20 budget at the default cap of 20:
+    # the total cut complex is a wedge of 12 = cycle rank S^17, and the
+    # bounded independence complex (the grid as a clique complex) of 12 circles
+    for kind, degree in (("totalcut", 17), ("bi", 1)):
+        code, complex_json, _ = run_cli(
+            capsys, "complex", "build", "--kind", kind, "--d", "2", "grid:3,7"
+        )
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(complex_json))
+        code, out, err = run_cli(capsys, "homology")
+        assert code == 0, err
+        assert json.loads(out)["reduced"] == [
+            {"degree": degree, "betti": 12, "torsion": []}
+        ]
+
+
+def test_dual_of_grid_cut_complex_over_20_vertices(capsys, monkeypatch, tmp_path):
+    # Alexander duality moves H~20 = Z^15 of the 4x6 grid's total cut
+    # complex to H~1 = Z^15 of its dual, on 24 ground vertices
+    source = tmp_path / "cut.json"
+    build = ("complex", "build", "--kind", "totalcut", "--d", "2", "grid:4,6")
+    assert run_cli(capsys, *build, "-o", str(source))[0] == 0
+    code, dual_json, err = run_cli(capsys, "dual", "--complex", str(source))
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", io.StringIO(dual_json))
     code, out, err = run_cli(capsys, "homology")
     assert code == 0, err
-    assert json.loads(out)["reduced"] == [{"degree": 17, "betti": 12, "torsion": []}]
+    assert json.loads(out)["reduced"] == [{"degree": 1, "betti": 15, "torsion": []}]
+
+
+def test_totalcut_scan_over_the_budget_exits_2(capsys):
+    # C(40, 12) vertex 12-sets are far over 2^20: refused before the scan
+    build = ("complex", "build", "--kind", "totalcut", "--d", "12", "path:40")
+    code, _, err = run_cli(capsys, *build)
+    assert code == 2 and "2^20 budget" in err
+
+
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        (None, ("--force", "-1"), "the budget cap must be a nonnegative integer, got -1"),
+        ("-3", (), "CUTCOMPLEXES_MAX_GROUND must be a nonnegative integer, got '-3'"),
+        ("many", (), "CUTCOMPLEXES_MAX_GROUND must be a nonnegative integer, got 'many'"),
+    ],
+)
+def test_negative_cap_exits_2(capsys, monkeypatch, env, flags, message):
+    if env is None:
+        monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    else:
+        monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", env)
+    monkeypatch.setattr("sys.stdin", io.StringIO(cross_polytope_payload()))
+    code, _, err = run_cli(capsys, "homology", *flags)
+    assert code == 2 and message in err
 
 
 def test_closed_stdout_exits_141(monkeypatch):
@@ -202,29 +254,33 @@ def test_closed_stdout_exits_141(monkeypatch):
     assert main(["verify", "--suite", "poset"]) == 141
 
 
-def test_complex_build_force_sets_alpha_table_cap(capsys, monkeypatch):
-    build = ("complex", "build", "--kind", "bi", "--d", "2")
-    code, _, err = run_cli(capsys, *build, "--force", "5", "path:6")
-    assert code == 2 and "capped at 5 vertices" in err
+# BI_2 of the 12-cycle scans the C(12, 2) = 66 vertex pairs: over 2^6, within 2^7
+BI_BUILD = ("complex", "build", "--kind", "bi", "--d", "2")
+
+
+def test_complex_build_force_sets_the_budget(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, *BI_BUILD, "--force", "6", "cycle:12")
+    assert code == 2 and "2^6 budget" in err
     # --force wins over the environment in both directions
-    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
-    code, out, _ = run_cli(capsys, *build, "--force", "6", "path:6")
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "6")
+    code, out, _ = run_cli(capsys, *BI_BUILD, "--force", "7", "cycle:12")
     assert code == 0
-    assert len(json.loads(out)["facets"]) == 5
+    assert len(json.loads(out)["facets"]) == 12
 
 
-def test_complex_build_env_var_sets_alpha_table_cap(capsys, monkeypatch):
-    build = ("complex", "build", "--kind", "bi", "--d", "2")
+def test_complex_build_env_var_sets_the_budget(capsys, monkeypatch):
+    # no ground-size cap: 21 vertices build at the default budget
     monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
-    code, _, err = run_cli(capsys, *build, "path:21")
-    assert code == 2 and "capped at 20 vertices" in err
-    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "22")
-    code, out, _ = run_cli(capsys, *build, "path:21")
+    code, out, _ = run_cli(capsys, *BI_BUILD, "path:21")
     assert code == 0
     assert len(json.loads(out)["facets"]) == 20
-    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
-    code, _, err = run_cli(capsys, *build, "path:6")
-    assert code == 2 and "capped at 5 vertices" in err
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "6")
+    code, _, err = run_cli(capsys, *BI_BUILD, "cycle:12")
+    assert code == 2 and "2^6 budget" in err
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "7")
+    code, out, _ = run_cli(capsys, *BI_BUILD, "cycle:12")
+    assert code == 0
+    assert len(json.loads(out)["facets"]) == 12
 
 
 def test_verify_cli(tmp_path, capsys):
