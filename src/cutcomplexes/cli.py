@@ -105,7 +105,8 @@ def _build_parser():
                        help="raise the work budget to 2^N")
 
     p_dual = sub.add_parser("dual", help="Alexander dual of a complex")
-    p_dual.add_argument("--complex", dest="complex_file", required=True)
+    p_dual.add_argument("--complex", dest="complex_file", default=None,
+                        help="complex JSON file (default: stdin)")
     p_dual.add_argument("-o", "--output", default=None)
     p_dual.add_argument("--force", type=int, default=None, metavar="N",
                         help="raise the work budget to 2^N")

@@ -3,8 +3,11 @@
 A complex is facet-represented: the ground set is declared (phantom vertices
 allowed), the facets are the inclusion-maximal simplices, and the void complex
 (no simplices at all) is distinct from ``{emptyset}`` (exactly one empty
-facet).  Simplices are enumerated on demand by one budgeted face walk
-(``SimplicialComplex.face_levels``) and held as bitmasks over the ground set.
+facet).  A complex holds its sorted ground tuple and its facets as bitmasks
+over it, and nothing else; every construction below works on the masks,
+except ``join`` and ``relabel_complex``, which reorder the ground set and go
+through vertex sets.  Simplices are enumerated on demand by one budgeted face
+walk (``SimplicialComplex.face_levels``).
 
 The two graph complexes:
 
@@ -29,41 +32,57 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .limits import budget
 
 
 def _prune_to_maximal(masks):
-    """Inclusion-maximal masks, deduplicated, sorted descending by popcount."""
-    uniq = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
+    """Inclusion-maximal masks, deduplicated, sorted descending by popcount.
+
+    A mask can lie only inside one of larger popcount, so each is tested
+    against those kept masks alone; equal-size masks are never compared.
+    """
+    kept, larger, size = [], [], None
+    for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), kept[:]
+        if not any(m & ~k == 0 for k in larger):
             kept.append(m)
     return kept
 
 
-class SimplicialComplex:
-    """Immutable abstract simplicial complex on a declared ground set."""
+def _vertex_masks(ground, vertex_sets):
+    """The bitmask over ``ground`` of each vertex set, in order."""
+    bit = {v: 1 << i for i, v in enumerate(ground)}
+    masks = []
+    for f in vertex_sets:
+        m = 0
+        for v in f:
+            if v not in bit:
+                raise ValueError(f"facet vertex {v} not in ground set")
+            m |= bit[v]
+        masks.append(m)
+    return masks
 
-    __slots__ = ("ground", "facets", "_bit", "_facet_masks")
+
+class SimplicialComplex:
+    """Immutable abstract simplicial complex on a declared ground set.
+
+    It holds the sorted ``ground`` tuple and the ascending bitmasks of its
+    facets (bit i stands for ``ground[i]``); ``facets`` spells them out as
+    vertex sets on demand.
+    """
+
+    __slots__ = ("ground", "_facet_masks")
 
     def __init__(self, ground, facets):
-        ground = tuple(sorted(set(ground)))
-        bit = {v: i for i, v in enumerate(ground)}
-        fsets = frozenset(frozenset(f) for f in facets)
-        for f in fsets:
-            for v in f:
-                if v not in bit:
-                    raise ValueError(f"facet vertex {v} not in ground set")
-        for f in fsets:
-            for g in fsets:
-                if f < g:
-                    raise ValueError(f"facet {sorted(f)} is contained in {sorted(g)}")
-        self.ground = ground
-        self.facets = fsets
-        self._bit = bit
-        self._facet_masks = None
+        self.ground = tuple(sorted(set(ground)))
+        masks = set(_vertex_masks(self.ground, facets))
+        self._facet_masks = sorted(_prune_to_maximal(masks))
+        if len(self._facet_masks) != len(masks):
+            f = min(masks.difference(self._facet_masks))
+            g = next(g for g in self._facet_masks if f & ~g == 0)
+            raise ValueError(f"facet {self._unmask(f)} is contained in {self._unmask(g)}")
 
     # -- construction helpers ------------------------------------------------
 
@@ -71,35 +90,16 @@ class SimplicialComplex:
     def from_facet_candidates(cls, ground, candidates):
         """Build from arbitrary generating sets; dominated sets are pruned."""
         ground = tuple(sorted(set(ground)))
-        bit = {v: i for i, v in enumerate(ground)}
-        masks = []
-        for f in candidates:
-            m = 0
-            for v in f:
-                if v not in bit:
-                    raise ValueError(f"facet vertex {v} not in ground set")
-                m |= 1 << bit[v]
-            masks.append(m)
-        return cls._from_masks(ground, _prune_to_maximal(masks))
+        return cls._from_masks(ground, _prune_to_maximal(_vertex_masks(ground, candidates)))
 
     @classmethod
     def _from_masks(cls, ground, facet_masks):
-        """Trusted fast path: ``facet_masks`` must already be maximal."""
+        """Trusted fast path: ``ground`` must be sorted and ``facet_masks``
+        maximal."""
         self = object.__new__(cls)
-        ground = tuple(ground)
-        self.ground = ground
-        self._bit = {v: i for i, v in enumerate(ground)}
+        self.ground = tuple(ground)
         self._facet_masks = sorted(facet_masks)
-        self.facets = frozenset(
-            frozenset(self._unmask(m)) for m in self._facet_masks
-        )
         return self
-
-    def _mask(self, vertices):
-        m = 0
-        for v in vertices:
-            m |= 1 << self._bit[v]
-        return m
 
     def _unmask(self, m):
         ground = self.ground
@@ -111,37 +111,32 @@ class SimplicialComplex:
         return out
 
     def facet_masks(self):
-        if self._facet_masks is None:
-            self._facet_masks = sorted(self._mask(f) for f in self.facets)
         return self._facet_masks
+
+    @property
+    def facets(self):
+        """The facets as a frozenset of vertex frozensets."""
+        return frozenset(frozenset(self._unmask(m)) for m in self._facet_masks)
 
     # -- structure ------------------------------------------------------------
 
     @property
     def is_void(self):
-        return not self.facets
+        return not self._facet_masks
 
     def dim(self):
         """Dimension; -1 for {emptyset}, None for the void complex."""
         if self.is_void:
             return None
-        return max(len(f) for f in self.facets) - 1
+        return max(m.bit_count() for m in self._facet_masks) - 1
 
     def contains(self, vertices):
         """Membership test: is ``vertices`` a simplex?"""
         try:
-            m = self._mask(vertices)
-        except KeyError:
+            (m,) = _vertex_masks(self.ground, [vertices])
+        except ValueError:
             return False
-        return self._contains_mask(m)
-
-    def _contains_mask(self, m):
-        if self.is_void:
-            return False
-        for f in self.facet_masks():
-            if m & ~f == 0:
-                return True
-        return False
+        return any(m & ~f == 0 for f in self._facet_masks)
 
     def face_levels(self, cap=None):
         """Yield ``(t, set of t-face masks)`` from the largest facets down.
@@ -178,17 +173,17 @@ class SimplicialComplex:
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self.ground == other.ground and self.facets == other.facets
+        return self.ground == other.ground and self._facet_masks == other._facet_masks
 
     def __hash__(self):
-        return hash((self.ground, self.facets))
+        return hash((self.ground, tuple(self._facet_masks)))
 
     def __repr__(self):
         if self.is_void:
             return f"SimplicialComplex(void on {len(self.ground)} vertices)"
         return (
             f"SimplicialComplex({len(self.ground)} ground vertices, "
-            f"{len(self.facets)} facets, dim {self.dim()})"
+            f"{len(self._facet_masks)} facets, dim {self.dim()})"
         )
 
 
@@ -389,59 +384,63 @@ def strong_core(k: SimplicialComplex):
         support |= f
     if support == (1 << len(k.ground)) - 1:
         return k  # a deletion would have removed a vertex from the support
-    # compress the masks onto the surviving vertices, in ground order
-    bits = []
-    while support:
-        low = support & -support
-        support ^= low
-        bits.append(low)
-    ground = [k.ground[b.bit_length() - 1] for b in bits]
+    return _restrict(k, support, facets)
+
+
+def _restrict(k, keep, masks):
+    """The complex whose facets are ``masks``, all inside the ground vertices
+    that ``keep`` marks, with its ground set cut down to those vertices."""
+    positions = [i for i in range(len(k.ground)) if keep >> i & 1]
     compressed = []
-    for f in facets:
+    for f in masks:
         m = 0
-        for i, b in enumerate(bits):
-            if f & b:
-                m |= 1 << i
+        for j, i in enumerate(positions):
+            if f >> i & 1:
+                m |= 1 << j
         compressed.append(m)
-    return SimplicialComplex._from_masks(ground, compressed)
+    return SimplicialComplex._from_masks([k.ground[i] for i in positions], compressed)
 
 
 def _sigma_mask(k, sigma):
-    sigma = frozenset(sigma)
+    sigma = set(sigma)
     for v in sigma:
-        if v not in k._bit:
+        if v not in k.ground:
             raise ValueError(f"vertex {v} is not in the ground set")
-    return sigma, k._mask(sigma)
+    return _vertex_masks(k.ground, [sigma])[0]
 
 
 def link(k: SimplicialComplex, sigma):
     """Link of sigma; ground set drops sigma's vertices.
 
-    Void when sigma is not a simplex (in particular for phantom vertices).
+    Void when sigma is not a simplex (in particular for phantom vertices),
+    since then no facet contains it.  Distinct facets through sigma leave
+    distinct, maximal links.
     """
-    sigma, sm = _sigma_mask(k, sigma)
-    ground = tuple(v for v in k.ground if v not in sigma)
-    if not k._contains_mask(sm):
-        return void_complex(ground)
-    facets = [f - sigma for f in k.facets if sigma <= f]
-    return SimplicialComplex.from_facet_candidates(ground, facets)
+    sm = _sigma_mask(k, sigma)
+    full = (1 << len(k.ground)) - 1
+    return _restrict(k, full ^ sm, [f ^ sm for f in k.facet_masks() if f & sm == sm])
 
 
 def deletion(k: SimplicialComplex, sigma):
-    """Deletion of sigma: simplices not containing sigma.  Ground set unchanged."""
-    sigma, sm = _sigma_mask(k, sigma)
-    if k.is_void:
-        return void_complex(k.ground)
-    if not sigma:
-        # no simplex avoids the empty set
+    """Deletion of sigma: simplices not containing sigma.  Ground set unchanged.
+
+    No simplex avoids the empty set, so deleting it leaves the void complex.
+    """
+    sm = _sigma_mask(k, sigma)
+    if not sm:
         return void_complex(k.ground)
     candidates = []
-    for f in k.facets:
-        if sigma <= f:
-            candidates.extend(f - {v} for v in sigma)
-        else:
+    for f in k.facet_masks():
+        if f & sm != sm:
             candidates.append(f)
-    return SimplicialComplex.from_facet_candidates(k.ground, candidates)
+            continue
+        # a facet through sigma keeps each face that misses one vertex of it
+        rest = sm
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            candidates.append(f ^ low)
+    return SimplicialComplex._from_masks(k.ground, _prune_to_maximal(candidates))
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex):
@@ -449,24 +448,28 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex):
     if set(k1.ground) & set(k2.ground):
         raise ValueError("join requires disjoint ground sets")
     ground = k1.ground + k2.ground
-    facets = [f1 | f2 for f1 in k1.facets for f2 in k2.facets]
+    facets2 = k2.facets
+    facets = [f1 | f2 for f1 in k1.facets for f2 in facets2]
     # facets of a join of facet pairs are automatically maximal
     return SimplicialComplex(ground, facets)
 
 
 def skeleton(k: SimplicialComplex, d):
-    """Subcomplex of simplices with at most d+1 vertices."""
+    """Subcomplex of simplices with at most d+1 vertices.
+
+    Its facets are the facets of k with at most d+1 vertices and the
+    (d+1)-subsets of the larger ones; none of these contains another.
+    """
     if d < 0:
         raise ValueError(f"skeleton needs d >= 0, got {d}")
-    if k.is_void:
-        return void_complex(k.ground)
     facets = set()
-    for f in k.facets:
-        if len(f) <= d + 1:
+    for f in k.facet_masks():
+        if f.bit_count() <= d + 1:
             facets.add(f)
         else:
-            facets.update(map(frozenset, combinations(sorted(f), d + 1)))
-    return SimplicialComplex(k.ground, facets)
+            bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
+            facets.update(map(sum, combinations(bits, d + 1)))
+    return SimplicialComplex._from_masks(k.ground, facets)
 
 
 def is_skeleton_full(k: SimplicialComplex, d):
@@ -478,10 +481,7 @@ def is_skeleton_full(k: SimplicialComplex, d):
         return not k.is_void
     fmasks = k.facet_masks()
     bits = [1 << i for i in range(len(k.ground))]
-    for combo in combinations(bits, d + 1):
-        m = 0
-        for b in combo:
-            m |= b
+    for m in map(sum, combinations(bits, d + 1)):
         if not any(m & ~f == 0 for f in fmasks):
             return False
     return True
@@ -491,17 +491,14 @@ def complex_union(k1: SimplicialComplex, k2: SimplicialComplex):
     """Union of simplex sets; complexes must share a ground set."""
     if k1.ground != k2.ground:
         raise ValueError("union requires a shared ground set")
-    return SimplicialComplex.from_facet_candidates(
-        k1.ground, list(k1.facets) + list(k2.facets)
-    )
+    masks = k1.facet_masks() + k2.facet_masks()
+    return SimplicialComplex._from_masks(k1.ground, _prune_to_maximal(masks))
 
 
 def complex_intersection(k1: SimplicialComplex, k2: SimplicialComplex):
     """Intersection of simplex sets; complexes must share a ground set."""
     if k1.ground != k2.ground:
         raise ValueError("intersection requires a shared ground set")
-    if k1.is_void or k2.is_void:
-        return void_complex(k1.ground)
     masks = [f1 & f2 for f1 in k1.facet_masks() for f2 in k2.facet_masks()]
     return SimplicialComplex._from_masks(k1.ground, _prune_to_maximal(masks))
 
@@ -515,10 +512,7 @@ def relabel_complex(k: SimplicialComplex, mapping):
     new_ground = [f(v) for v in k.ground]
     if len(set(new_ground)) != len(new_ground):
         raise ValueError("relabelling must be injective")
-    facets = [frozenset(f(v) for v in fac) for fac in k.facets]
-    if k.is_void:
-        return void_complex(new_ground)
-    return SimplicialComplex(new_ground, facets)
+    return SimplicialComplex(new_ground, [[f(v) for v in fac] for fac in k.facets])
 
 
 # -- serialization ---------------------------------------------------------------
@@ -527,7 +521,7 @@ def relabel_complex(k: SimplicialComplex, mapping):
 def complex_to_json(k: SimplicialComplex):
     return {
         "ground": list(k.ground),
-        "facets": sorted([sorted(f) for f in k.facets]),
+        "facets": sorted(k._unmask(m) for m in k.facet_masks()),
         "void": k.is_void,
     }
 
@@ -571,7 +565,4 @@ def _repeated(vertices):
 
 
 def _is_vertex_list(obj):
-    # JSON true/false arrive as bool, a subclass of int; they are not vertices
-    return isinstance(obj, list) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in obj
-    )
+    return isinstance(obj, list) and all(_is_int(v) for v in obj)

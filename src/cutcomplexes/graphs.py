@@ -350,7 +350,7 @@ def graph_from_json(obj):
     if "n" not in obj:
         raise GraphFormatError('graph JSON is missing the "n" field')
     n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphFormatError(f'"n" must be a nonnegative integer, got {n!r}')
     raw = obj.get("edges", [])
     if not isinstance(raw, list):
@@ -361,7 +361,7 @@ def graph_from_json(obj):
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) for x in e)
+            or not all(_is_int(x) for x in e)
         ):
             raise GraphFormatError(f"edges[{i}]: expected [u, v] integers, got {e!r}")
         u, v = e
@@ -374,6 +374,11 @@ def graph_from_json(obj):
         seen.add((u, v))
         edges.append((u, v))
     return Graph(n, edges)
+
+
+def _is_int(x):
+    # JSON true/false arrive as bool, a subclass of int; they are not integers here
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_args(parts, descriptor, count=None):

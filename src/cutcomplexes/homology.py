@@ -244,39 +244,25 @@ def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2, void=False)
     return cc
 
 
-def _signed_rows(col, degree):
-    """Split a boundary column into its +1 rows and its -1 rows."""
-    plus, minus = [], []
-    for i, s in col:
-        if s == 1:
-            plus.append(i)
-        elif s == -1:
-            minus.append(i)
-        else:
-            raise RuntimeError(f"boundary entry {s} is not +-1 in degree {degree}")
-    return plus, minus
-
-
 def _check_boundary_squares_to_zero(cc):
     """Raise unless consecutive boundaries compose to 0, with every entry +-1.
 
     An entry of the composition is the number of +1 paths into its row minus
     the number of -1 paths, so a column of the composition vanishes exactly
     when the rows reached with sign +1 and with sign -1 agree as multisets.
+    Degrees are checked upwards, so the degree below has its signs checked.
     """
     for q in sorted(cc.columns):
-        if q - 1 not in cc.columns:
-            continue
-        lower = [_signed_rows(col, q - 1) for col in cc.columns[q - 1]]
+        lower = cc.columns.get(q - 1)
         for col in cc.columns[q]:
-            up, down = _signed_rows(col, q)
             plus, minus = [], []
-            for i in up:
-                plus += lower[i][0]
-                minus += lower[i][1]
-            for i in down:
-                plus += lower[i][1]
-                minus += lower[i][0]
+            for i, s in col:
+                if s != 1 and s != -1:
+                    raise RuntimeError(f"boundary entry {s} is not +-1 in degree {q}")
+                if lower is not None:
+                    # a path through row i has the product of the two signs
+                    for j, t in lower[i]:
+                        (plus if t == s else minus).append(j)
             plus.sort()
             minus.sort()
             if plus != minus:

@@ -3,19 +3,19 @@
 Everything here is exact arithmetic at desk scale; the guards stop accidental
 exponential blowups, not legitimate use.  Every exhaustive search (the face
 walk, the minimal-transversal search, the independent d-set scan, the
-independence number and ``alpha_table``) counts the work it does against a
-budget of 2^cap units, whatever the ground size, and raises ``SizeCapError``
-once the count goes over.  The cap can be raised explicitly: the searches
-take a ``cap`` argument, the CLI has ``--force N``, and
-``CUTCOMPLEXES_MAX_GROUND`` overrides the default.
+independence number, ``alpha_table``, and the elements and maximal-chain
+search of a composition poset) counts the work it does against a budget of
+2^cap units, whatever the ground size, and raises ``SizeCapError`` once the
+count goes over.  The cap can be raised explicitly: the graph and complex
+searches take a ``cap`` argument, the CLI has ``--force N``, and
+``CUTCOMPLEXES_MAX_GROUND`` overrides the default for any search called
+without a cap.
 """
 
 import os
 
 # Default cap: every exhaustive search may do 2^20 units of work.
 ENUM_CAP = 20
-# Element cap for composition-poset order complexes.
-POSET_ELEMENT_CAP = 5000
 
 ENV_CAP = "CUTCOMPLEXES_MAX_GROUND"
 

@@ -7,6 +7,11 @@ augmented variant adds the bottom tuple (1, ..., 1).  At m = d + k - 1 the
 order complex is contractible for k <= d - 1 and a wedge of C(k-1, d-1)
 spheres S^(d-2) for k >= d (``expected_order_complex_claim``); the ``poset``
 verification suite checks this by computing exact homology.
+
+A poset's elements and its maximal-chain search each spend the 2^cap work
+budget of ``limits.budget`` (the cap comes from ``CUTCOMPLEXES_MAX_GROUND``):
+an oversized poset is refused before its elements are listed, and an
+oversized order complex as soon as its chain search goes over.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from math import comb
 
 from .complexes import SimplicialComplex
 from .homology import WedgeClaim
-from .limits import POSET_ELEMENT_CAP, SizeCapError
+from .limits import budget
 
 
 def compositions(d, k):
@@ -54,41 +59,39 @@ class CompositionPoset:
 
 
 def composition_poset(m, k, augmented=False):
+    """The poset of compositions of k+1..m into k parts; its C(m, k) - 1
+    elements (one more when augmented) are spent up front against the 2^cap
+    budget."""
     if m <= k:
         raise ValueError(f"composition poset needs m > k, got m={m}, k={k}")
+    budget(f"composition poset of {m} into {k} parts")(comb(m, k) - 1 + int(augmented))
     elements = []
     for total in range(k + 1, m + 1):
         elements.extend(compositions(total, k))
     if augmented:
         elements.append((1,) * k)
-    elements = tuple(sorted(elements))
-    if len(elements) > POSET_ELEMENT_CAP:
-        raise SizeCapError(
-            f"composition poset has {len(elements)} elements; capped at {POSET_ELEMENT_CAP}"
-        )
-    return CompositionPoset(m, k, elements, augmented)
+    return CompositionPoset(m, k, tuple(sorted(elements)), augmented)
 
 
 def _cover_relation(poset):
-    """covers[i] = indices j such that element j covers element i."""
-    elems = poset.elements
-    n = len(elems)
-    leq = poset.leq
-    below = [
-        [k for k in range(n) if k != j and leq(elems[k], elems[j])] for j in range(n)
-    ]
-    covers = [[] for _ in range(n)]
-    for j in range(n):
-        for i in below[j]:
-            # j covers i unless something sits strictly between
-            if not any(k != i and leq(elems[i], elems[k]) for k in below[j]):
-                covers[i].append(j)
+    """covers[i] = indices j such that element j covers element i, ascending.
+
+    b covers a exactly when b is a with one part raised by 1: for a < b,
+    raising a part with a_i < b_i gives an element c with a < c <= b.
+    """
+    index = {a: i for i, a in enumerate(poset.elements)}
+    covers = []
+    for a in poset.elements:
+        raised = (a[:p] + (a[p] + 1,) + a[p + 1:] for p in range(len(a)))
+        covers.append(sorted(index[b] for b in raised if b in index))
     return covers
 
 
 def maximal_chains(poset):
-    """All inclusion-maximal chains, as index tuples (ascending)."""
+    """All inclusion-maximal chains, as index tuples (ascending); each node
+    of the search counts one unit against the 2^cap budget."""
     n = len(poset.elements)
+    spend = budget(f"maximal chain search over {n} poset elements")
     covers = _cover_relation(poset)
     has_lower = [False] * n
     for i in range(n):
@@ -97,6 +100,7 @@ def maximal_chains(poset):
     chains = []
 
     def walk(chain, i):
+        spend()
         if not covers[i]:
             chains.append(tuple(chain))
             return
@@ -113,11 +117,10 @@ def maximal_chains(poset):
 
 def order_complex(poset: CompositionPoset):
     """Order complex: one vertex per element (labelled by lexicographic rank,
-    1-based), one simplex per chain."""
-    chains = maximal_chains(poset)
-    ground = range(1, len(poset.elements) + 1)
-    facets = [frozenset(i + 1 for i in chain) for chain in chains]
-    return SimplicialComplex(ground, facets)
+    1-based), one simplex per chain.  Maximal chains are distinct and never
+    nested, so they are the facets as they stand."""
+    facets = [sum(1 << i for i in chain) for chain in maximal_chains(poset)]
+    return SimplicialComplex._from_masks(range(1, len(poset.elements) + 1), facets)
 
 
 def expected_order_complex_claim(d, k):

@@ -61,6 +61,7 @@ from .homology import (
     relative_homology,
     verify_alexander_duality,
 )
+from .limits import SizeCapError
 from .posets import composition_poset, expected_order_complex_claim, order_complex
 from .report import ReportEntry, VerificationReport
 
@@ -90,7 +91,7 @@ class TheoremInstance:
     ``ground_size`` is the number of vertices the recipe works on, held to
     ``INSTANCE_GROUND_CAP``.  For a composition-poset recipe it is the
     composition size m = d + k - 1, not the number of poset elements (the
-    order complex's vertices, bounded by ``POSET_ELEMENT_CAP`` instead).
+    order complex's vertices, which the work budget bounds instead).
     """
 
     id: str
@@ -103,43 +104,51 @@ class TheoremInstance:
 
 
 def run_instance(inst: TheoremInstance):
+    """Run one recipe; a search over its budget makes a failed entry whose
+    computed text is ``refused: <message>``, so the rest of a report stays."""
     if inst.ground_size > INSTANCE_GROUND_CAP:
         raise ValueError(
             f"{inst.id}: recipe ground size {inst.ground_size} exceeds the "
             f"suite cap of {INSTANCE_GROUND_CAP}"
         )
     t0 = time.perf_counter()
-    note = inst.note
-    if isinstance(inst.expected, str):
-        expected = inst.expected
-        passed, computed = inst.build()
-    else:
-        expected = inst.expected.describe()
-        k = inst.build()
-        profile = reduced_homology(k)
-        passed = matches_wedge(profile, inst.expected)
-        computed = profile.describe()
-        if passed and inst.skeleton_level is not None:
-            if not is_skeleton_full(k, inst.skeleton_level):
-                passed = False
-                computed += f" [skeleton not full at level {inst.skeleton_level}]"
-            else:
-                note = _append_note(note, f"sk_{inst.skeleton_level} full")
-        if passed and inst.duality_rider and len(k.ground) <= DUALITY_CHECK_CAP:
-            if not alexander_duality_holds(k, profile):
-                passed = False
-                computed += " [Alexander duality violated]"
-            else:
-                note = _append_note(note, "duality ok")
+    try:
+        passed, computed, note = _verdict(inst)
+    except SizeCapError as exc:
+        passed, computed, note = False, f"refused: {exc}", inst.note
     ms = (time.perf_counter() - t0) * 1000
     return ReportEntry(
         id=inst.id,
-        expected=expected,
+        expected=inst.expected if isinstance(inst.expected, str) else inst.expected.describe(),
         computed=computed,
         passed=passed,
         ms=ms,
         note=note,
     )
+
+
+def _verdict(inst):
+    """``(passed, computed, note)`` for one recipe."""
+    note = inst.note
+    if isinstance(inst.expected, str):
+        return (*inst.build(), note)
+    k = inst.build()
+    profile = reduced_homology(k)
+    passed = matches_wedge(profile, inst.expected)
+    computed = profile.describe()
+    if passed and inst.skeleton_level is not None:
+        if not is_skeleton_full(k, inst.skeleton_level):
+            passed = False
+            computed += f" [skeleton not full at level {inst.skeleton_level}]"
+        else:
+            note = _append_note(note, f"sk_{inst.skeleton_level} full")
+    if passed and inst.duality_rider and len(k.ground) <= DUALITY_CHECK_CAP:
+        if not alexander_duality_holds(k, profile):
+            passed = False
+            computed += " [Alexander duality violated]"
+        else:
+            note = _append_note(note, "duality ok")
+    return passed, computed, note
 
 
 def _append_note(note, extra):
@@ -900,13 +909,13 @@ def poset_recipes(seed):
     2 <= d <= 4, 1 <= k <= 5."""
     for d in range(2, 5):
         for k in range(1, 6):
-            poset = composition_poset(d + k - 1, k)
+            m = d + k - 1
             yield TheoremInstance(
                 id=f"poset/order-complex/d{d}/k{k}",
-                ground_size=d + k - 1,
-                build=lambda poset=poset: order_complex(poset),
+                ground_size=m,
+                build=lambda m=m, k=k: order_complex(composition_poset(m, k)),
                 expected=expected_order_complex_claim(d, k),
-                note=f"{len(poset)} poset elements",
+                note=f"{comb(m, k) - 1} poset elements",
             )
 
 

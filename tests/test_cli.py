@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -96,6 +97,21 @@ def test_poset_subcommand(capsys):
     assert json.loads(aug)["ground"] == [1, 2, 3, 4]
 
 
+def test_poset_subcommand_spends_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    # 1,715 elements and 7^6 maximal chains fit in 2^20
+    code, out, err = run_cli(capsys, "poset", "--d", "7", "--k", "7")
+    assert code == 0, err
+    obj = json.loads(out)
+    assert len(obj["ground"]) == 1715 and len(obj["facets"]) == 117649
+    # 8^7 chains, and C(39, 20) - 1 elements, are refused quickly
+    for d, k, message in ((8, 8, "maximal chain search"), (20, 20, "composition poset")):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "poset", "--d", str(d), "--k", str(k))
+        assert code == 2 and message in err and "exceeds the 2^20 budget" in err
+        assert time.perf_counter() - t0 < 10
+
+
 def test_malformed_graph_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "edges": [[1, 5]]}')
@@ -110,6 +126,17 @@ def test_malformed_graph_json_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "line 1" in err
+    # JSON true/false are not integers, although Python's bool is an int
+    for text, message in (
+        ('{"n": true, "edges": []}', 'error: "n" must be a nonnegative integer, got True'),
+        ('{"n": 3, "edges": [[true, 2]]}',
+         "error: edges[0]: expected [u, v] integers, got [True, 2]"),
+    ):
+        bad.write_text(text)
+        code, _, err = run_cli(
+            capsys, "complex", "build", "--kind", "totalcut", "--d", "2", "--graph", str(bad)
+        )
+        assert (code, err) == (2, message + "\n")
 
 
 MALFORMED_COMPLEXES = [
@@ -206,13 +233,15 @@ def test_totalcut_of_grid_over_the_ground_cap(capsys, monkeypatch):
         ]
 
 
-def test_dual_of_grid_cut_complex_over_20_vertices(capsys, monkeypatch, tmp_path):
+def test_dual_of_grid_cut_complex_over_20_vertices(capsys, monkeypatch):
     # Alexander duality moves H~20 = Z^15 of the 4x6 grid's total cut
-    # complex to H~1 = Z^15 of its dual, on 24 ground vertices
-    source = tmp_path / "cut.json"
+    # complex to H~1 = Z^15 of its dual, on 24 ground vertices; both
+    # dual and homology read the previous step from stdin
     build = ("complex", "build", "--kind", "totalcut", "--d", "2", "grid:4,6")
-    assert run_cli(capsys, *build, "-o", str(source))[0] == 0
-    code, dual_json, err = run_cli(capsys, "dual", "--complex", str(source))
+    code, cut_json, err = run_cli(capsys, *build)
+    assert code == 0, err
+    monkeypatch.setattr("sys.stdin", io.StringIO(cut_json))
+    code, dual_json, err = run_cli(capsys, "dual")
     assert code == 0, err
     monkeypatch.setattr("sys.stdin", io.StringIO(dual_json))
     code, out, err = run_cli(capsys, "homology")
@@ -310,3 +339,16 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 def test_verify_filter_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "poset", "--filter", "zzz*")
     assert code == 2 and "matched no" in err
+
+
+def test_verify_reports_every_entry_over_a_lowered_budget(capsys, monkeypatch, tmp_path):
+    # at 2^8 the larger cycles are refused one entry at a time, not the run
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "8")
+    jout = tmp_path / "r.json"
+    code, out, err = run_cli(capsys, "verify", "--suite", "cycles", "-q", "--json", str(jout))
+    assert (code, err) == (1, "")
+    assert out.endswith("31/48 checks passed\n")
+    entries = json.loads(jout.read_text())["entries"]
+    refused = [e for e in entries if e["computed"].startswith("refused: ")]
+    assert len(entries) == 48 and len(refused) == 17
+    assert all(not e["pass"] and "exceeds the 2^8 budget" in e["computed"] for e in refused)

@@ -17,6 +17,7 @@ from cutcomplexes import (
     complete,
     complete_multipartite,
     complex_from_json,
+    complex_intersection,
     complex_to_json,
     complex_union,
     cycle,
@@ -449,6 +450,61 @@ def test_link_star_deletion_shapes():
     assert link(k, [3]) == SimplicialComplex([1, 2, 4], [{1, 2}, {4}])
     assert deletion(k, [3]) == SimplicialComplex([1, 2, 3, 4], [{1, 2}, {4}])
     assert deletion(k, [1, 2]) == SimplicialComplex([1, 2, 3, 4], [{1, 3}, {2, 3}, {3, 4}])
+
+
+def vertex_simplices(k):
+    """Every simplex of k as a frozenset of vertices, from the facet subsets."""
+    return {
+        frozenset(v for i, v in enumerate(k.ground) if m >> i & 1)
+        for m in simplices_by_facet_subsets(k)
+    }
+
+
+def test_mask_constructions_match_their_definitions():
+    # link, deletion, skeleton, union and intersection work on facet masks;
+    # each is checked against its definition on the vertex sets of simplices
+    assert SimplicialComplex.__slots__ == ("ground", "_facet_masks")
+    rng = random.Random(19)
+    cases = [void_complex([1, 2, 3]), empty_simplex_complex([1, 2, 3])]
+    for _ in range(120):
+        # the last ground vertex is phantom in most cases
+        n = rng.randint(1, 7)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(0, n))
+            for _ in range(rng.randint(0, 5))
+        ]
+        cases.append(SimplicialComplex.from_facet_candidates(range(1, n + 2), facets))
+    for k in cases:
+        simplices = vertex_simplices(k)
+        assert SimplicialComplex(k.ground, k.facets) == k
+        assert k.facets == {s for s in simplices if not any(s < t for t in simplices)}
+        assert complex_to_json(k)["facets"] == sorted(sorted(f) for f in k.facets)
+        results = []
+        for sigma in ([], *([v] for v in k.ground), rng.sample(k.ground, min(2, len(k.ground)))):
+            sigma = frozenset(sigma)
+            results.append((
+                link(k, sigma),
+                tuple(v for v in k.ground if v not in sigma),
+                {s - sigma for s in simplices if sigma <= s},
+            ))
+            results.append((
+                deletion(k, sigma), k.ground, {s for s in simplices if not sigma <= s}
+            ))
+        for d in range(4):
+            results.append((skeleton(k, d), k.ground, {s for s in simplices if len(s) <= d + 1}))
+        other = SimplicialComplex.from_facet_candidates(
+            k.ground, [rng.sample(k.ground, rng.randint(0, len(k.ground))) for _ in range(3)]
+        )
+        results.append((complex_union(k, other), k.ground, simplices | vertex_simplices(other)))
+        results.append(
+            (complex_intersection(k, other), k.ground, simplices & vertex_simplices(other))
+        )
+        for result, ground, expected in results:
+            assert result.ground == ground
+            assert vertex_simplices(result) == expected
+            assert result.is_void == (not expected)
+            # the facets are maximal: the validating constructor accepts them
+            assert SimplicialComplex(ground, result.facets) == result
 
 
 # -- join and skeleton ---------------------------------------------------------------------

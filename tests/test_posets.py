@@ -11,7 +11,7 @@ from cutcomplexes import (
     order_complex,
     reduced_homology,
 )
-from cutcomplexes.posets import expected_order_complex_claim, maximal_chains
+from cutcomplexes.posets import _cover_relation, expected_order_complex_claim, maximal_chains
 
 
 def test_composition_examples():
@@ -101,8 +101,59 @@ def test_expected_claims():
     assert claim.sphere_dim == 1 and claim.count == 1
 
 
-def test_poset_element_cap():
+def cover_relation_by_triple_loop(poset):
+    """covers[i] = indices j covering i: j above i with nothing strictly between."""
+    elems = poset.elements
+    n = len(elems)
+    leq = poset.leq
+    below = [
+        [k for k in range(n) if k != j and leq(elems[k], elems[j])] for j in range(n)
+    ]
+    covers = [[] for _ in range(n)]
+    for j in range(n):
+        for i in below[j]:
+            if not any(k != i and leq(elems[i], elems[k]) for k in below[j]):
+                covers[i].append(j)
+    return covers
+
+
+def test_cover_rule_matches_the_triple_loop():
+    # 45 (m, k) pairs with m <= 10, each plain and augmented
+    count = 0
+    for m in range(2, 11):
+        for k in range(1, m):
+            for augmented in (False, True):
+                p = composition_poset(m, k, augmented=augmented)
+                assert len(p) == comb(m, k) - 1 + augmented
+                assert _cover_relation(p) == cover_relation_by_triple_loop(p)
+                count += 1
+    assert count == 90
+
+
+def test_poset_element_cap(monkeypatch):
     from cutcomplexes import SizeCapError
 
-    with pytest.raises(SizeCapError, match="elements"):
-        composition_poset(16, 8)
+    monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    # 12,869 elements fit in 2^20, but the chain search does not
+    with pytest.raises(SizeCapError, match="exceeds the 2\\^20 budget"):
+        order_complex(composition_poset(16, 8))
+    # C(39, 20) - 1 elements are refused before any is listed
+    with pytest.raises(SizeCapError, match="composition poset of 39 into 20 parts"):
+        composition_poset(39, 20)
+
+
+def test_poset_budget_thresholds(monkeypatch):
+    from cutcomplexes import SizeCapError
+
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "3")
+    # the 8 elements of a chain are exactly 2^3; the augmented bottom is one more
+    assert order_complex(composition_poset(9, 1)).facet_masks() == [255]
+    with pytest.raises(SizeCapError, match="composition poset of 9 into 1 parts"):
+        composition_poset(9, 1, augmented=True)
+    # 19 elements but 39 chain-search nodes: refused at 2^5, answered at 2^6
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
+    poset = composition_poset(6, 3)
+    with pytest.raises(SizeCapError, match="maximal chain search over 19 poset"):
+        order_complex(poset)
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "6")
+    assert len(order_complex(poset).facet_masks()) == 27
