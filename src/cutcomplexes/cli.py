@@ -48,19 +48,23 @@ def _emit(obj, out_path):
         print(text)
 
 
+def _parse_json(text, source):
+    """Parse JSON text; a syntax error names ``source`` and the location."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+
+
 def _load_json_file(path, kind):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {kind} file {path!r}: {exc}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{kind} file {path!r}: invalid JSON at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}"
-        ) from None
+    return _parse_json(text, f"{kind} file {path!r}")
 
 
 def profile_to_json(profile):
@@ -159,13 +163,7 @@ def _read_complex(args):
     if args.complex_file:
         obj = _load_json_file(args.complex_file, "complex")
     else:
-        text = sys.stdin.read()
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"stdin: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+        obj = _parse_json(sys.stdin.read(), "stdin")
     return complex_from_json(obj)
 
 

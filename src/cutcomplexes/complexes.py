@@ -458,12 +458,18 @@ def skeleton(k: SimplicialComplex, d):
     """Subcomplex of simplices with at most d+1 vertices.
 
     Its facets are the facets of k with at most d+1 vertices and the
-    (d+1)-subsets of the larger ones; none of these contains another.
+    (d+1)-subsets of the larger ones; none of these contains another.  The
+    C(|F|, d+1) subsets of every facet F are spent up front against the 2^cap
+    budget.
     """
     if d < 0:
         raise ValueError(f"skeleton needs d >= 0, got {d}")
+    masks = k.facet_masks()
+    budget(f"{d}-skeleton of a complex on {len(k.ground)} vertices")(
+        sum(comb(f.bit_count(), d + 1) for f in masks)
+    )
     facets = set()
-    for f in k.facet_masks():
+    for f in masks:
         if f.bit_count() <= d + 1:
             facets.add(f)
         else:
@@ -476,11 +482,14 @@ def is_skeleton_full(k: SimplicialComplex, d):
     """Is every (d+1)-subset of the ground set a simplex?
 
     Fullness of the d-skeleton certifies that the complex is (d-1)-connected.
+    The C(n, d+1) subsets scanned are spent up front against the 2^cap budget.
     """
     if d < 0:
         return not k.is_void
+    n = len(k.ground)
+    budget(f"skeleton scan of the C({n}, {d + 1}) vertex {d + 1}-sets")(comb(n, d + 1))
     fmasks = k.facet_masks()
-    bits = [1 << i for i in range(len(k.ground))]
+    bits = [1 << i for i in range(n)]
     for m in map(sum, combinations(bits, d + 1)):
         if not any(m & ~f == 0 for f in fmasks):
             return False
@@ -561,7 +570,11 @@ def complex_from_json(obj):
 
 def _repeated(vertices):
     """The first vertex that a list with repeats names a second time."""
-    return next(v for i, v in enumerate(vertices) if v in vertices[:i])
+    seen = set()
+    for v in vertices:
+        if v in seen:
+            return v
+        seen.add(v)
 
 
 def _is_vertex_list(obj):

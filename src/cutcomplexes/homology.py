@@ -29,14 +29,14 @@ residual.  Torsion of degree s comes from the boundary from degree s+1.
 Relative chain complexes assemble every degree, with s = -2.
 
 Degrees are reduced from the top down with clearing, each boundary as its
-transpose (one elimination row per simplex): the unit pivot columns of the
-boundary from degree q+1 are degree-q faces, and their columns are dropped
-from the boundary from degree q.  This is exact over the integers.  The unit
-pivots span a submatrix of determinant +-1, so the boundaries of the pivot
-(q+1)-faces, together with the degree-q faces off the pivot columns, form a
-basis of the degree-q chains; the boundary map vanishes on the former, and on
-the latter it is the boundary matrix without the cleared columns.  Rank and
-invariant factors therefore do not change.
+transpose: the SNF reads each simplex's (face, sign) list from ``columns`` as
+its row, by reference.  The unit pivot columns of the boundary from degree q+1
+are degree-q faces, and their columns are dropped from the boundary from
+degree q.  This is exact over the integers.  The unit pivots span a submatrix
+of determinant +-1, so the boundaries of the pivot (q+1)-faces, together with
+the degree-q faces off the pivot columns, form a basis of the degree-q chains;
+the boundary map vanishes on the former, and on the latter it is the boundary
+matrix without the cleared columns.  Rank and invariant factors do not change.
 
 The composition of consecutive boundaries is checked to vanish on every
 constructed complex, exactly and without building it: a composed entry counts
@@ -81,7 +81,7 @@ class HomologyProfile:
         )
 
     def euler(self):
-        return sum((-1) ** q * b for q, b, _ in self.groups)
+        return sum(-b if q % 2 else b for q, b, _ in self.groups)
 
     def describe(self):
         if self.void:
@@ -190,7 +190,8 @@ class ChainComplex:
 
     def euler_characteristic(self):
         """Alternating sum of basis sizes over the augmented complex."""
-        return sum((-1) ** q * self.basis_size(q) for q in self.degrees)
+        sizes = ((q, self.basis_size(q)) for q in self.degrees)
+        return sum(-b if q % 2 else b for q, b in sizes)
 
 
 def _assemble(ground, masks_by_degree, dropped=None, complete_to=-2, void=False):
@@ -326,7 +327,7 @@ def homology_of_chain(cc: ChainComplex):
         # one degree up drop out, keeping rank and torsion (module docstring)
         pivots = set()
         factors, ranks[q] = smith_normal_form(
-            {j: dict(col) for j, col in enumerate(cc.columns[q]) if j not in cleared},
+            {j: col for j, col in enumerate(cc.columns[q]) if j not in cleared},
             pivot_cols=pivots,
         )
         torsion_from[q] = tuple(f for f in factors if f != 1)

@@ -3,11 +3,12 @@
 Everything here is exact arithmetic at desk scale; the guards stop accidental
 exponential blowups, not legitimate use.  Every exhaustive search (the face
 walk, the minimal-transversal search, the independent d-set scan, the
-independence number, ``alpha_table``, and the elements and maximal-chain
-search of a composition poset) counts the work it does against a budget of
-2^cap units, whatever the ground size, and raises ``SizeCapError`` once the
-count goes over.  The cap can be raised explicitly: the graph and complex
-searches take a ``cap`` argument, the CLI has ``--force N``, and
+independence number, ``alpha_table``, the skeleton scans, and the elements
+and maximal-chain search of a composition poset) counts the work it does
+against a budget of 2^cap units, whatever the ground size, and raises
+``SizeCapError`` once the count goes over.  The cap can be raised
+explicitly: the graph and complex searches other than the skeleton scans
+take a ``cap`` argument, the CLI has ``--force N``, and
 ``CUTCOMPLEXES_MAX_GROUND`` overrides the default for any search called
 without a cap.
 """

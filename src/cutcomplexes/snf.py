@@ -1,14 +1,14 @@
 """Exact Smith normal form over the integers.
 
 Boundary matrices of simplicial complexes are made of +-1 entries, and almost
-every pivot they need is a unit.  So the engine first eliminates unit pivots
-on a dict-of-rows: while some column still holds a +-1, that column is cleared
-with row operations from the unit row with the fewest nonzeros, and the pivot
-row is retired (its column is a singleton by then, so the column operations
-that would clear it touch nothing else).  Each retired pivot contributes an
-invariant factor 1.  Homology hands each boundary over as its transpose (the
-Smith normal form is the same), one row per simplex, so the keys of the pivot
-columns are faces one degree down, which it clears from the next boundary.
+every pivot they need is a unit.  A matrix is a sequence of dense rows or a
+dict of rows given as (column key, entry) pairs; homology passes a boundary's
+transpose, each simplex's own (face, sign) list as its row.  The one working
+copy is a dict-of-rows.  While some column holds a +-1, it is cleared with
+row operations from the unit row with the fewest nonzeros, and the pivot row
+is retired: the column is a singleton then, so the column operations that
+would clear the row touch nothing else.  Each retired pivot gives a factor 1,
+and its column key, a face one degree down, is cleared from the next boundary.
 
 What no unit pivot reaches is the residual.  It is split into connected
 blocks, rows linked by a shared column, and each block goes to the textbook
@@ -37,14 +37,13 @@ def _xgcd(a, b):
 
 
 def _to_rows(matrix):
-    """Copy input (sequence of row sequences, or dict-of-dicts) into dict-of-rows.
-
-    Zero entries and empty rows are dropped.
-    """
-    items = matrix.items() if isinstance(matrix, dict) else enumerate(matrix)
+    """The one working copy: a dict-of-rows without zero entries or empty rows."""
+    if isinstance(matrix, dict):
+        items = matrix.items()
+    else:
+        items = ((i, enumerate(row)) for i, row in enumerate(matrix))
     rows = {}
-    for i, row in items:
-        entries = row.items() if isinstance(row, dict) else enumerate(row)
+    for i, entries in items:
         rv = {j: int(x) for j, x in entries if x}
         if rv:
             rows[i] = rv
@@ -72,9 +71,10 @@ def invariant_chain(values):
 def smith_normal_form(matrix, pivot_cols=None):
     """Invariant factors (d1 | d2 | ... | dr, all > 0) and rank r.
 
-    ``matrix`` is a sequence of rows or a dict-of-rows mapping; the input is
-    not modified.  The zero matrix yields ``([], 0)``.  When ``pivot_cols`` is
-    a set, the keys of the columns taken as unit pivots are added to it.
+    ``matrix`` is a sequence of dense rows, or a dict mapping row keys to rows
+    given as (column key, entry) pairs; the input is not modified.  The zero
+    matrix yields ``([], 0)``.  When ``pivot_cols`` is a set, the keys of the
+    columns taken as unit pivots are added to it.
     """
     rows = _to_rows(matrix)
     diag = [1] * _unit_pivots(rows, pivot_cols)

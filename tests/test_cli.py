@@ -78,6 +78,31 @@ def test_homology_of_void_complex(capsys, monkeypatch):
     assert obj["void"] and obj["reduced"] == [] and obj["euler"] == 0
 
 
+def simplex_boundary_json(n):
+    ground = list(range(1, n + 1))
+    return json.dumps(
+        {"ground": ground, "facets": [ground[:i] + ground[i + 1:] for i in range(n)],
+         "void": False}
+    )
+
+
+@pytest.mark.parametrize(
+    "text,degree,euler",
+    [pytest.param('{"ground": [], "facets": [[]], "void": false}', -1, -1, id="empty")]
+    # C(60, 30) is past 2^53, so a float Euler sum would lose the count
+    + [pytest.param(simplex_boundary_json(n), n - 2, 1, id=f"boundary-{n}")
+       for n in (50, 56, 60, 64)],
+)
+def test_homology_euler_is_an_integer(text, degree, euler, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "homology")
+    assert code == 0, err
+    assert f'"euler": {euler},' in out
+    obj = json.loads(out)
+    assert obj["reduced"] == [{"degree": degree, "betti": 1, "torsion": []}]
+    assert type(obj["euler"]) is int
+
+
 def test_dual_round_trip(tmp_path, capsys):
     cfile = tmp_path / "k.json"
     run_cli(capsys, "complex", "build", "--kind", "bi", "--d", "2", "cycle:4",

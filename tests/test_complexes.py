@@ -2,6 +2,7 @@
 skeleta, JSON input, and the facet representation's invariants."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -542,6 +543,40 @@ def test_skeleton_fullness_examples():
     assert is_skeleton_full(big, 2)
 
 
+def test_skeleton_scans_spend_the_budget(monkeypatch):
+    monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    # the complex builds at once, but C(40, 19) subsets would take hours to scan
+    k = total_cut_complex(path(40), 2)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCapError, match=r"C\(40, 19\) vertex 19-sets exceeds the 2\^20"):
+        is_skeleton_full(k, 18)
+    assert time.perf_counter() - t0 < 2
+    # C(23, 12) = 1,352,078 subsets of the one facet are over 2^20
+    with pytest.raises(SizeCapError, match="11-skeleton of a complex on 23 vertices"):
+        skeleton(full_simplex(range(1, 24)), 11)
+
+
+def test_skeleton_scan_thresholds(monkeypatch):
+    simplex = full_simplex([1, 2, 3, 4])
+    edges = SimplicialComplex([1, 2, 3, 4], [{1, 2}, {3, 4}])
+    # exactly 2^2 units: C(4, 1) vertex sets, or C(2, 1) + C(2, 1) facet subsets
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "2")
+    assert is_skeleton_full(simplex, 0) and is_skeleton_full(edges, 0)
+    assert len(skeleton(simplex, 0).facets) == 4
+    assert len(skeleton(edges, 0).facets) == 4
+    for scan in (
+        lambda: is_skeleton_full(simplex, 1),  # C(4, 2) = 6
+        lambda: skeleton(simplex, 1),
+        lambda: skeleton(SimplicialComplex([1, 2, 3, 4, 5], [{1, 2}, {3, 4}, {5}]), 0),
+    ):
+        with pytest.raises(SizeCapError, match="exceeds the 2\\^2 budget"):
+            scan()
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "1")
+    for scan in (lambda: is_skeleton_full(simplex, 0), lambda: skeleton(edges, 0)):
+        with pytest.raises(SizeCapError, match="exceeds the 2\\^1 budget"):
+            scan()
+
+
 # -- disjoint union law ------------------------------------------------------------------------
 
 
@@ -628,6 +663,13 @@ def test_complex_json_validation():
         complex_from_json(obj(ground=[1, 1, 2]))
     with pytest.raises(ValueError, match='"ground" must be a list of integers'):
         complex_from_json(obj(ground=[1, True]))
+    # a repeat at the end of a long list is found in one pass
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match='"ground" lists vertex 40000 twice'):
+        complex_from_json(obj(ground=list(range(1, 40001)) + [40000], facets=[]))
+    with pytest.raises(ValueError, match=r"facets\[0\]: vertex 40000 appears twice"):
+        complex_from_json(obj(ground=[40000], facets=[[40000] * 40001]))
+    assert time.perf_counter() - t0 < 2
     # well-formed input still loads, void included
     assert complex_from_json(obj()) == full_simplex([1, 2])
     assert complex_from_json(obj(facets=[], void=True)) == void_complex([1, 2])

@@ -177,27 +177,38 @@ def test_snf_pivot_column_collector():
     assert acc == {0, 1, 2}
     # a column that is only reached through the residual is no unit pivot
     acc = set()
-    assert smith_normal_form({5: {0: 1, 1: 2}, 7: {1: 4}}, pivot_cols=acc) == ([1, 4], 2)
+    assert smith_normal_form({5: [(0, 1), (1, 2)], 7: [(1, 4)]}, pivot_cols=acc) == (
+        [1, 4], 2,
+    )
     assert acc == {0}
     acc = set()
     assert smith_normal_form({}, pivot_cols=acc) == ([], 0) and not acc
     # row keys and column keys differ: only the column keys are collected
     acc = set()
-    assert smith_normal_form({10: {3: 1}, 20: {3: 1, 4: -1}}, pivot_cols=acc) == (
+    assert smith_normal_form({10: [(3, 1)], 20: [(3, 1), (4, -1)]}, pivot_cols=acc) == (
         [1, 1], 2,
     )
     assert acc == {3, 4}
-    # explicit zeros in a dict-of-rows are no entries
-    assert smith_normal_form({0: {0: 1, 1: 0}, 1: {0: 0, 1: 3}}) == ([1, 3], 2)
+    # explicit zeros in (column, entry) pair rows are no entries
+    assert smith_normal_form({0: [(0, 1), (1, 0)], 1: [(0, 0), (1, 3)]}) == ([1, 3], 2)
 
 
 def test_snf_leaves_its_input_unchanged():
-    rows = {0: {0: 1, 1: 0, 2: 2}, 3: {0: 0, 1: -1}, 4: {}, 5: {2: 4, 1: 2}}
+    rows = {0: [(0, 1), (1, 0), (2, 2)], 3: [(0, 0), (1, -1)], 4: [], 5: [(2, 4), (1, 2)]}
     lists = [[2, 4, 0], [1, 0, 0], [0, 0, 0], [6, 8, 1]]
     for mat in (rows, lists):
         before = copy.deepcopy(mat)
         smith_normal_form(mat, pivot_cols=set())
         assert mat == before
+    # homology hands the chain complex's own column lists to the SNF
+    for cc in (
+        chain_complex(rp2()),
+        full_chain_complex(simplex_boundary([1, 2, 3, 4, 5])),
+        full_chain_complex(join(rp2(), simplex_boundary([7, 8, 9]))),
+    ):
+        before = copy.deepcopy(cc.columns)
+        homology_of_chain(cc)
+        assert cc.columns == before
 
 
 def _residual_blocks(mat):
@@ -270,12 +281,13 @@ def boundary_dense(cc, q):
 
 
 def boundary_rows(cc, q):
-    """Boundary matrix of degree q as a dict-of-rows (rows: degree q-1 basis)."""
+    """Boundary matrix of degree q as (column, entry) pair rows, one row per
+    degree q-1 basis element."""
     rows = {}
     for j, col in enumerate(cc.columns.get(q, ())):
         for i, s in col:
             rows.setdefault(i, {})[j] = s
-    return rows
+    return {i: list(row.items()) for i, row in rows.items()}
 
 
 def test_chain_complex_shapes():
