@@ -6,6 +6,13 @@ compose through pipes::
     cutcomplexes gen cycle:6 -o c6.json
     cutcomplexes complex build --kind totalcut --d 2 --graph c6.json | cutcomplexes homology
 
+Every JSON output is one line with the default ``", "`` and ``": "``
+separators (keys sorted, except in the ``verify --json`` report), written by
+``json.dumps`` without ``indent``, so that the C encoder does the work;
+``python -m json.tool`` pretty-prints it.  The argument parser is built
+once per process, on the first ``main`` call, and ``parse_args`` gives every
+call a fresh namespace.
+
 Exit status: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (including malformed input files), 141 (the SIGPIPE status)
 when the reader closes standard output early, as ``| head`` can.
@@ -14,6 +21,7 @@ when the reader closes standard output early, as ``| head`` can.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -41,7 +49,7 @@ def _write_file(path, write, newline=None):
 
 
 def _emit(obj, out_path):
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    text = json.dumps(obj, sort_keys=True)
     if out_path:
         _write_file(out_path, lambda fh: fh.write(text + "\n"))
     else:
@@ -78,6 +86,7 @@ def profile_to_json(profile):
     }
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="cutcomplexes",
@@ -197,7 +206,7 @@ def _cmd_verify(args):
             print(f"[FAIL] {e.id}: expected {e.expected}, got {e.computed}")
     print(report.summary())
     if args.json_out:
-        _write_file(args.json_out, lambda fh: fh.write(report.to_json(indent=2) + "\n"))
+        _write_file(args.json_out, lambda fh: fh.write(report.to_json() + "\n"))
     if args.csv_out:
         _write_file(args.csv_out, report.write_csv, newline="")
     return 0 if report.passed else 1

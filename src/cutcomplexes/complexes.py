@@ -224,36 +224,58 @@ def minimal_transversals(edges, n, cap=None):
     ``edges`` are vertex bitmasks; a transversal is a vertex set meeting every
     edge.  MMCS (Murakami-Uno, Discrete Appl. Math. 170, 2014): grow a set S
     one vertex at a time from an uncovered edge with the fewest candidate
-    vertices, and prune as soon as some vertex of S has no critical edge (an
-    edge meeting S in that vertex alone), since no superset of S is then
-    minimal.  Each minimal transversal is found once, and the work in practice
-    follows the output, not the 2^n subsets.  No edges gives ``[0]``; an empty
-    edge gives ``[]``.  Duplicate or non-minimal edges do not change the answer.
-    Each call of the search counts one unit against the 2^cap budget.
+    vertices (the first such edge in input order), and prune as soon as some
+    vertex of S has no critical edge (an edge meeting S in that vertex alone),
+    since no superset of S is then minimal.  Each minimal transversal is found
+    once, and the work in practice follows the output, not the 2^n subsets.
+    No edges gives ``[0]``; an empty edge gives ``[]``.  Duplicate or
+    non-minimal edges do not change the answer.  Each call of the search
+    counts one unit against the 2^cap budget.
+
+    The search holds sets of edges as bitmasks over edge indices:
+    ``through[v]`` marks the edges that contain vertex v, so adding v to S
+    removes ``through[v]`` from the uncovered edges and from every critical
+    set, and its own critical set is the uncovered edges it meets.
     """
+    edges = list(edges)
     found = []
     spend = budget(f"minimal transversal search over {n} vertices", cap)
+    through = [0] * n
+    for i, e in enumerate(edges):
+        while e:
+            low = e & -e
+            e ^= low
+            through[low.bit_length() - 1] |= 1 << i
 
     def walk(s, cand, uncov, crit):
-        # crit[i] lists the edges meeting s only in its i-th vertex
+        # crit[i] marks the edges meeting s only in its i-th vertex
         spend()
         if not uncov:
             found.append(s)
             return
-        edge = min(uncov, key=lambda e: (e & cand).bit_count())
-        branch = edge & cand
+        best = -1
+        rest = uncov
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hit = edges[low.bit_length() - 1] & cand
+            count = hit.bit_count()
+            if best < 0 or count < best:
+                best, branch = count, hit
+                if not count:
+                    return  # no candidate covers this edge: a dead end
         cand ^= branch
         while branch:
             v = branch & -branch
             branch ^= v
-            kept = [[e for e in es if not e & v] for es in crit]
+            tv = through[v.bit_length() - 1]
+            kept = [c & ~tv for c in crit]
             if all(kept):
-                hit = [e for e in uncov if e & v]
-                walk(s | v, cand, [e for e in uncov if not e & v], kept + [hit])
+                walk(s | v, cand, uncov & ~tv, kept + [uncov & tv])
             # later branches may add v, earlier ones may not: no repeats
             cand |= v
 
-    walk(0, (1 << n) - 1, list(edges), [])
+    walk(0, (1 << n) - 1, (1 << len(edges)) - 1, [])
     return sorted(found)
 
 
@@ -550,6 +572,7 @@ def complex_from_json(obj):
         raise ValueError(f'"void" must be true or false, got {void!r}')
     if not isinstance(facets, list):
         raise ValueError('"facets" must be a list of vertex lists')
+    in_ground = set(ground)
     first = {}
     for i, f in enumerate(facets):
         if not _is_vertex_list(f):
@@ -558,6 +581,9 @@ def complex_from_json(obj):
             )
         if len(set(f)) != len(f):
             raise ValueError(f"facets[{i}]: vertex {_repeated(f)} appears twice")
+        outside = next((v for v in f if v not in in_ground), None)
+        if outside is not None:
+            raise ValueError(f"facets[{i}]: vertex {outside} is not in the ground set")
         j = first.setdefault(frozenset(f), i)
         if j != i:
             raise ValueError(f"facets[{i}] repeats facets[{j}]")

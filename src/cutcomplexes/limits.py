@@ -10,13 +10,15 @@ against a budget of 2^cap units, whatever the ground size, and raises
 explicitly: the graph and complex searches other than the skeleton scans
 take a ``cap`` argument, the CLI has ``--force N``, and
 ``CUTCOMPLEXES_MAX_GROUND`` overrides the default for any search called
-without a cap.
+without a cap.  A cap is an integer from 0 to ``MAX_CAP``.
 """
 
 import os
 
 # Default cap: every exhaustive search may do 2^20 units of work.
 ENUM_CAP = 20
+# No search may be allowed more than 2^64 units, which no run could spend.
+MAX_CAP = 64
 
 ENV_CAP = "CUTCOMPLEXES_MAX_GROUND"
 
@@ -26,13 +28,21 @@ class SizeCapError(ValueError):
 
 
 def resolve_cap(cap=None):
-    """Effective cap: explicit argument, else env override, else default."""
+    """Effective cap: explicit argument, else env override, else default.
+
+    It must be an integer from 0 to ``MAX_CAP``; anything else raises
+    ``SizeCapError`` naming the setting and the value.
+    """
     name, value = "the budget cap", cap
     if cap is None:
         name, value = ENV_CAP, os.environ.get(ENV_CAP) or str(ENUM_CAP)
     if not str(value).isdecimal():
         raise SizeCapError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
+    # compare digits first: int() refuses strings of over 4,300 digits
+    digits = str(value).lstrip("0") or "0"
+    if len(digits) > len(str(MAX_CAP)) or int(digits) > MAX_CAP:
+        raise SizeCapError(f"{name} must be at most {MAX_CAP}, got {value!r}")
+    return int(digits)
 
 
 def budget(what, cap=None):

@@ -61,8 +61,8 @@ class VerificationReport:
             "failures": self.failures,
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_json_obj(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_json_obj())
 
     def write_csv(self, fileobj):
         writer = csv.writer(fileobj)

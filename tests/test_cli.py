@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from cutcomplexes import cli
 from cutcomplexes.cli import main
 
 
@@ -177,6 +182,8 @@ MALFORMED_COMPLEXES = [
      "error: facets[0]: vertex 1 appears twice"),
     ('{"ground": [1, 2], "facets": [[1, 2], [2, 1]], "void": false}',
      "error: facets[1] repeats facets[0]"),
+    ('{"ground": [1, 2], "facets": [[1, 3]], "void": false}',
+     "error: facets[0]: vertex 3 is not in the ground set"),
 ]
 
 
@@ -299,6 +306,31 @@ def test_negative_cap_exits_2(capsys, monkeypatch, env, flags, message):
     assert code == 2 and message in err
 
 
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        (None, ("--force", "99999999999"),
+         "error: the budget cap must be at most 64, got 99999999999\n"),
+        ("65", (), "error: CUTCOMPLEXES_MAX_GROUND must be at most 64, got '65'\n"),
+        ("9" * 5000, (),
+         f"error: CUTCOMPLEXES_MAX_GROUND must be at most 64, got '{'9' * 5000}'\n"),
+    ],
+    ids=["force", "env", "env-5000-digits"],
+)
+def test_cap_over_64_exits_2(capsys, monkeypatch, env, flags, message):
+    # a cap past 64 is refused by name before a 2^cap budget is built
+    if env is None:
+        monkeypatch.delenv("CUTCOMPLEXES_MAX_GROUND", raising=False)
+    else:
+        monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", env)
+    payload = '{"ground": [1, 2, 3], "facets": [[1, 2]], "void": false}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    assert run_cli(capsys, "homology", *flags) == (2, "", message)
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, _ = run_cli(capsys, "homology", "--force", "64")
+    assert (code, json.loads(out)["reduced"]) == (0, [])
+
+
 def test_closed_stdout_exits_141(monkeypatch):
     class ClosedPipe(io.StringIO):
         def write(self, text):
@@ -377,3 +409,77 @@ def test_verify_reports_every_entry_over_a_lowered_budget(capsys, monkeypatch, t
     refused = [e for e in entries if e["computed"].startswith("refused: ")]
     assert len(entries) == 48 and len(refused) == 17
     assert all(not e["pass"] and "exceeds the 2^8 budget" in e["computed"] for e in refused)
+
+
+def test_calls_share_one_parser_without_sharing_flags(capsys, monkeypatch):
+    # the parser is built on the first call and reused; a --force given to
+    # one call does not carry over to the next
+    payload = cross_polytope_payload()
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, out, _ = run_cli(capsys, "homology", "--force", "12")
+    assert code == 0 and json.loads(out)["reduced"] == SPHERE_S4
+    parser = cli._build_parser()
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code, _, err = run_cli(capsys, "homology")
+    assert code == 2 and "2^5 budget" in err
+    assert cli._build_parser() is parser
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = "import cutcomplexes.cli as c; print(c._build_parser.cache_info().currsize)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "0\n"
+
+
+C5_EDGES = [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]
+C5_GROUND = [1, 2, 3, 4, 5]
+# the JSON values pinned from the former indented output
+ONE_LINE_OUTPUTS = [
+    (("gen", "cycle:5"), {"edges": C5_EDGES, "n": 5}),
+    (("complex", "build", "--kind", "bi", "--d", "2", "cycle:5"),
+     {"facets": C5_EDGES, "ground": C5_GROUND, "void": False}),
+    (("homology",),
+     {"euler": -1, "reduced": [{"betti": 1, "degree": 1, "torsion": []}], "void": False}),
+    (("dual",),
+     {"facets": [[1, 2, 4], [1, 3, 4], [1, 3, 5], [2, 3, 5], [2, 4, 5]],
+      "ground": C5_GROUND, "void": False}),
+    (("poset", "--d", "2", "--k", "3"),
+     {"facets": [[1], [2], [3]], "ground": [1, 2, 3], "void": False}),
+]
+
+
+@pytest.mark.parametrize("argv,value", ONE_LINE_OUTPUTS,
+                         ids=["gen", "complex-build", "homology", "dual", "poset"])
+def test_json_output_is_one_line(argv, value, capsys, monkeypatch):
+    # homology and dual read the clique complex of C5 from stdin
+    stdin = json.dumps({"facets": C5_EDGES, "ground": C5_GROUND, "void": False})
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    # json.dumps without indent writes no newline: the output is one line
+    assert run_cli(capsys, *argv) == (0, json.dumps(value, sort_keys=True) + "\n", "")
+
+
+def test_verify_json_report_is_one_line(tmp_path, capsys):
+    jout = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "poset", "--filter",
+                         "poset/order-complex/d3/*", "--json", str(jout))
+    assert code == 0
+    text = jout.read_text()
+    assert text.endswith("\n") and text.count("\n") == 1
+    report = json.loads(text)
+    assert report["failures"] == 0
+    assert [(e["id"], e["expected"], e["computed"], e["pass"], e["note"])
+            for e in report["entries"]] == [
+        (f"poset/order-complex/d3/k{k}", expected, computed, True, f"{size} poset elements")
+        for k, expected, computed, size in (
+            (1, "contractible", "0", 2),
+            (2, "contractible", "0", 5),
+            (3, "S^1", "H~1=Z", 9),
+            (4, "3*S^1", "H~1=Z^3", 14),
+            (5, "6*S^1", "H~1=Z^6", 20),
+        )
+    ]

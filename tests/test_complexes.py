@@ -36,6 +36,7 @@ from cutcomplexes import (
     total_cut_complex,
     void_complex,
 )
+from cutcomplexes import complexes
 from cutcomplexes.complexes import (
     empty_simplex_complex,
     independent_set_masks,
@@ -414,6 +415,40 @@ def test_minimal_transversals_ignore_duplicate_and_nonminimal_edges():
             assert all(t & e for e in minimal)
             bits = [1 << i for i in range(n) if t >> i & 1]
             assert all(any(not (t ^ b) & e for e in minimal) for b in bits)
+
+
+def test_minimal_transversals_walk_a_pinned_search_tree(monkeypatch):
+    # one budget unit per search node, so the unit count pins the tree that
+    # the edge choice (fewest candidates, first in input order) walks
+    c16_sets = independent_set_masks(cycle(16), 3)
+    full = (1 << 16) - 1
+    c16_non_faces = [full ^ f for f in bounded_independence_complex(cycle(16), 3).facet_masks()]
+    multipartite_sets = independent_set_masks(complete_multipartite(2, 2, 3, 3), 3)
+    spent = []
+    real_budget = complexes.budget
+
+    def counting_budget(what, cap=None):
+        spend = real_budget(what, cap)
+        spent.append(0)
+
+        def count(units=1):
+            spent[-1] += units
+            return spend(units)
+
+        return count
+
+    monkeypatch.setattr(complexes, "budget", counting_budget)
+    for edges, n, units, size, first, last in (
+        (c16_sets, 16, 477, 104, 0x0FFF, 0xFFF0),
+        (c16_non_faces, 16, 456, 352, 0x0015, 0xA800),
+        (multipartite_sets, 10, 13, 9, 0x090, 0x240),
+    ):
+        spent.clear()
+        found = minimal_transversals(edges, n)
+        assert spent == [units]
+        assert (len(found), found[0], found[-1]) == (size, first, last)
+    # the minimal non-faces of BI_3(C16) are its independent 3-sets
+    assert minimal_transversals(c16_non_faces, 16) == sorted(c16_sets)
 
 
 # -- link, deletion ---------------------------------------------------------------
