@@ -11,7 +11,9 @@ separators (keys sorted, except in the ``verify --json`` report), written by
 ``json.dumps`` without ``indent``, so that the C encoder does the work;
 ``python -m json.tool`` pretty-prints it.  The argument parser is built
 once per process, on the first ``main`` call, and ``parse_args`` gives every
-call a fresh namespace.
+call a fresh namespace.  That saves time only where one process calls
+``main`` many times (the tests, an in-process benchmark): a shell pipeline
+starts one process per command and builds one parser in each either way.
 
 Exit status: 0 on success, 1 when a verification suite reports failures,
 2 on usage errors (including malformed input files), 141 (the SIGPIPE status)

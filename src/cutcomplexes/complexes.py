@@ -55,11 +55,11 @@ def _vertex_masks(ground, vertex_sets):
     """The bitmask over ``ground`` of each vertex set, in order."""
     bit = {v: 1 << i for i, v in enumerate(ground)}
     masks = []
-    for f in vertex_sets:
+    for i, f in enumerate(vertex_sets):
         m = 0
         for v in f:
             if v not in bit:
-                raise ValueError(f"facet vertex {v} not in ground set")
+                raise ValueError(f"facets[{i}]: vertex {v} is not in the ground set")
             m |= bit[v]
         masks.append(m)
     return masks
@@ -572,7 +572,6 @@ def complex_from_json(obj):
         raise ValueError(f'"void" must be true or false, got {void!r}')
     if not isinstance(facets, list):
         raise ValueError('"facets" must be a list of vertex lists')
-    in_ground = set(ground)
     first = {}
     for i, f in enumerate(facets):
         if not _is_vertex_list(f):
@@ -581,9 +580,6 @@ def complex_from_json(obj):
             )
         if len(set(f)) != len(f):
             raise ValueError(f"facets[{i}]: vertex {_repeated(f)} appears twice")
-        outside = next((v for v in f if v not in in_ground), None)
-        if outside is not None:
-            raise ValueError(f"facets[{i}]: vertex {outside} is not in the ground set")
         j = first.setdefault(frozenset(f), i)
         if j != i:
             raise ValueError(f"facets[{i}] repeats facets[{j}]")
@@ -591,7 +587,7 @@ def complex_from_json(obj):
         if facets:
             raise ValueError("a void complex cannot list facets")
         return void_complex(ground)
-    return SimplicialComplex(ground, list(first))
+    return SimplicialComplex(ground, facets)
 
 
 def _repeated(vertices):
