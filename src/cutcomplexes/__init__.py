@@ -59,7 +59,7 @@ from .posets import (
     order_complex,
 )
 from .report import ReportEntry, VerificationReport
-from .snf import bareiss_rank, smith_normal_form, smith_normal_form_dense
+from .snf import smith_normal_form
 from .verify import SUITES, run_all
 
 __version__ = "0.1.0"

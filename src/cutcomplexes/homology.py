@@ -24,8 +24,8 @@ are assembled, each basis listing its simplex bitmasks in ascending integer
 (colex) order.  The rows of the lowest assembled boundary, from degree s+1,
 are keyed by the s-face bitmasks themselves, so no list of s-faces is ever
 built.  Every assembled degree goes through the Smith normal form of ``snf``:
-unit-pivot elimination, then a dense reduction of each connected block of the
-residual.  Torsion of degree s comes from the boundary from degree s+1.
+unit-pivot elimination, then one bounded Euclidean loop for each connected
+block of the residual.  Torsion of degree s comes from the boundary from s+1.
 Relative chain complexes assemble every degree, with s = -2.
 
 Degrees are reduced from the top down with clearing, each boundary as its

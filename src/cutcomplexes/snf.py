@@ -11,39 +11,37 @@ would clear the row touch nothing else.  Each retired pivot gives a factor 1,
 and its column key, a face one degree down, is cleared from the next boundary.
 
 What no unit pivot reaches is the residual.  It is split into connected
-blocks, rows linked by a shared column, and each block goes to the textbook
-dense reduction; the diagonals of all parts are normalized into one
-divisibility chain at the end.  Arithmetic is arbitrary-precision throughout.
-The dense reduction and a fraction-free rank double as independent oracles.
+blocks, rows linked by a shared column, and each block is diagonalized by one
+Euclidean loop: the smallest entry is the pivot, row steps leave remainders
+in its column, column steps leave them in its row, and the smallest remainder
+becomes the next pivot until the pivot stands alone.  Entries may grow, so
+once one passes 64 bits the block's rank r and a nonzero r x r minor D are
+taken by fraction-free (Bareiss) elimination, and the loop goes on modulo
+M = 2|D|.  Every invariant factor divides D, so each is read as gcd(e, M) of
+a diagonal entry e, and exactly r of them lie below M (Domich, Kannan and
+Trotter, Math. Oper. Res. 12, 1987; Hafner and McCurley, SIAM J. Comput. 20,
+1991).  The diagonals of all blocks are normalized into one divisibility
+chain at the end.
 """
 
-from collections import defaultdict
-from math import gcd
+from collections import Counter, defaultdict
+from math import gcd, lcm
 
-
-def _xgcd(a, b):
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g > 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+_LIMIT = 1 << 64
 
 
 def _to_rows(matrix):
     """The one working copy: a dict-of-rows without zero entries or empty rows."""
-    if isinstance(matrix, dict):
-        items = matrix.items()
-    else:
-        items = ((i, enumerate(row)) for i, row in enumerate(matrix))
     rows = {}
-    for i, entries in items:
+    if not isinstance(matrix, dict):
+        from itertools import compress
+
+        for i, row in enumerate(matrix):
+            at = list(compress(range(len(row)), row))
+            if at:
+                rows[i] = dict(zip(at, map(int, map(row.__getitem__, at))))
+        return rows
+    for i, entries in matrix.items():
         rv = {j: int(x) for j, x in entries if x}
         if rv:
             rows[i] = rv
@@ -51,21 +49,20 @@ def _to_rows(matrix):
 
 
 def invariant_chain(values):
-    """Normalize a diagonal multiset into invariant factors d1 | d2 | ... ."""
-    ones = sum(1 for v in values if abs(v) == 1)
-    rest = sorted(abs(v) for v in values if abs(v) != 1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rest)):
-            for j in range(i + 1, len(rest)):
-                a, b = rest[i], rest[j]
-                if b % a:
-                    g = gcd(a, b)
-                    rest[i], rest[j] = g, a * b // g
-                    changed = True
-        rest.sort()
-    return [1] * ones + rest
+    """Normalize a diagonal multiset into invariant factors d1 | d2 | ... .
+
+    Each distinct value v > 1, taken m times, is merged into the chain kept
+    largest first: the i-th entry becomes lcm(c[i], gcd(v, c[i-m])), with
+    c[i-m] = 0 above the top and c[i] = 1 below the bottom, which for every
+    prime merges m copies of v's exponent into the sorted exponents.  A merge
+    costs the length of the chain so far, so the most frequent values go last.
+    """
+    counts = Counter(map(abs, values))
+    ones = counts.pop(1, 0)
+    chain = []
+    for v, m in reversed(counts.most_common()):
+        chain = [lcm(c, gcd(v, d)) for c, d in zip(chain + [1] * m, [0] * m + chain)]
+    return [1] * ones + chain[::-1]
 
 
 def smith_normal_form(matrix, pivot_cols=None):
@@ -77,10 +74,11 @@ def smith_normal_form(matrix, pivot_cols=None):
     columns taken as unit pivots are added to it.
     """
     rows = _to_rows(matrix)
-    diag = [1] * _unit_pivots(rows, pivot_cols)
+    units = _unit_pivots(rows, pivot_cols)
+    diag = []
     for block in _blocks(rows):
-        diag.extend(smith_normal_form_dense(block)[0])
-    factors = invariant_chain(diag)
+        diag += _diagonalize(block)
+    factors = [1] * units + invariant_chain(diag)
     return factors, len(factors)
 
 
@@ -134,133 +132,134 @@ def _unit_pivots(rows, pivot_cols=None):
 
 
 def _blocks(rows):
-    """Split a dict-of-rows into dense blocks of rows linked by shared columns."""
-    parent = {}
+    """Split a dict-of-rows into dense blocks of rows linked by shared columns.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    owner = {}
-    for r, rv in rows.items():
-        parent[r] = r
-        for c in rv:
-            if c in owner:
-                a, b = find(owner[c]), find(r)
-                if a != b:
-                    parent[a] = b
-            else:
-                owner[c] = r
-    groups = defaultdict(list)
-    for r in rows:
-        groups[find(r)].append(r)
-    for members in groups.values():
-        cols = sorted({c for r in members for c in rows[r]})
-        at = {c: j for j, c in enumerate(cols)}
-        block = []
-        for r in members:
-            line = [0] * len(cols)
-            for c, v in rows[r].items():
-                line[at[c]] = v
-            block.append(line)
-        yield block
-
-
-# -- independent reference implementations ------------------------------------
-
-
-def smith_normal_form_dense(matrix):
-    """Textbook dense reduction; same contract as smith_normal_form.
-
-    Solves the residual blocks of the unit-pivot elimination, and serves as
-    an independent oracle for it.
+    ``group`` maps each column to the list of rows of its block so far; a row
+    that meets two blocks merges the smaller list into the larger.
     """
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    top = 0
+    group = {}
+    for r, rv in rows.items():
+        mine = None
+        for c in rv:
+            g = group.get(c)
+            if g is None or g is mine:
+                continue
+            if mine is None:
+                mine = g
+                continue
+            if len(g) > len(mine):
+                g, mine = mine, g
+            mine += g
+            for x in g:
+                for j in rows[x]:
+                    group[j] = mine
+        if mine is None:
+            mine = []
+        mine.append(r)
+        for c in rv:
+            group[c] = mine
+    blocks = {}
+    for c, g in group.items():
+        blocks.setdefault(id(g), (g, []))[1].append(c)
+    for members, cols in blocks.values():
+        zeros = [0] * len(cols)
+        yield [list(map(rows[r].get, cols, zeros)) for r in members]
+
+
+def _diagonalize(a):
+    """Diagonal entries of a block of dense rows, which it consumes.
+
+    One Euclidean loop.  The pivot p, the smallest entry, is taken out of the
+    rows with its row ``top``; row steps (row -= (x // p) * top) leave
+    remainders below |p| in its column c, and the smallest becomes the
+    pivot.  With column c clear, the column steps that clear ``top`` touch
+    nothing else: ``top`` is reduced modulo p, and again the smallest
+    remainder becomes the pivot.  A pivot alone in its row and column is a
+    diagonal entry.  ``bound`` bounds every |entry| from above; once it
+    reaches 2^64 the entries are measured, and if they have grown that far
+    the loop goes on modulo M as the module docstring says.
+    """
+    from itertools import chain
+
+    out = []
+    mod = rank = 0
+    bound = _LIMIT
+    top = None
     while True:
-        # find a pivot below/right of (top, top-ish)
-        pivot = None
-        for i in range(top, m):
-            for j in range(n):
-                if a[i][j]:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            v = a[top][top]
-            moved = False
-            for i in range(top + 1, m):
-                if a[i][top] % v:
-                    g, x, y = _xgcd(v, a[i][top])
-                    z, w = -(a[i][top] // g), v // g
-                    for j in range(n):
-                        ai, at = a[i][j], a[top][j]
-                        a[top][j] = x * at + y * ai
-                        a[i][j] = z * at + w * ai
-                    moved = True
-                    v = a[top][top]
-            for i in range(top + 1, m):
-                q = a[i][top] // v
-                if q:
-                    for j in range(n):
-                        a[i][j] -= q * a[top][j]
-            for j in range(top + 1, n):
-                if a[top][j] % v:
-                    g, x, y = _xgcd(v, a[top][j])
-                    z, w = -(a[top][j] // g), v // g
-                    for i in range(m):
-                        at, aj = a[i][top], a[i][j]
-                        a[i][top] = x * at + y * aj
-                        a[i][j] = z * at + w * aj
-                    moved = True
-                    v = a[top][top]
-            for j in range(top + 1, n):
-                q = a[top][j] // v
-                if q:
-                    for i in range(m):
-                        a[i][j] -= q * a[i][top]
-            if not moved and all(a[i][top] == 0 for i in range(top + 1, m)) and all(
-                a[top][j] == 0 for j in range(top + 1, n)
-            ):
+        if top is None:
+            p = min(map(abs, filter(None, chain.from_iterable(a))), default=0)
+            if not p:
                 break
-        diag.append(abs(a[top][top]))
-        top += 1
-        if top >= m or top >= n:
-            break
-    factors = invariant_chain(diag)
-    return factors, len(factors)
-
-
-def bareiss_rank(matrix):
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    a = [list(map(int, row)) for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if a[i][col]), None)
-        if piv is None:
+            for i, top in enumerate(a):
+                if p in top or -p in top:
+                    break
+            c = top.index(p) if p in top else top.index(-p)
+            del a[i]
+        if bound >= _LIMIT and not mod:
+            bound = max(map(abs, chain(top, *a)))
+            if bound >= _LIMIT:
+                a.append(top)
+                rank, det = _bareiss(a)
+                mod = 2 * abs(det)
+                exact, out, top = out, [], None
+                a = [[x % mod for x in row] for row in a]
+                continue
+        p = top[c]
+        k = None
+        for j, row in enumerate(a):
+            x = row[c]
+            if x:
+                q = x // p
+                if q:
+                    if mod:
+                        row = [(u - q * v) % mod for u, v in zip(row, top)]
+                    else:
+                        row = [u - q * v for u, v in zip(row, top)]
+                        bound *= abs(q) + 1
+                    a[j] = row
+                    x = row[c]
+                    if not x:
+                        continue
+                if k is None or abs(x) < abs(a[k][c]):
+                    k = j
+        if k is not None:
+            a[k], top = top, a[k]
             continue
-        a[row], a[piv] = a[piv], a[row]
-        for i in range(row + 1, m):
-            for j in range(col + 1, n):
-                a[i][j] = (a[row][col] * a[i][j] - a[i][col] * a[row][j]) // prev
-            a[i][col] = 0
-        prev = a[row][col]
+        if p != 1 and p != -1:
+            top = [x % p for x in top]
+            top[c] = p
+            q = min(map(abs, filter(None, top)))
+            if q < abs(p):
+                c = top.index(q) if q in top else top.index(-q)
+                continue
+        out.append(abs(p))
+        top = None
+        for row in a:
+            del row[c]
+    if not mod:
+        return out
+    out = [f for f in invariant_chain([gcd(e, mod) for e in out]) if f < mod]
+    if len(out) != rank:
+        raise ArithmeticError(f"modular reduction kept {len(out)} factors, rank is {rank}")
+    return exact + out
+
+
+def _bareiss(a):
+    """Rank r and a nonzero r x r minor of the rows ``a``, fraction-free."""
+    a = list(a)
+    rank, prev = 0, 1
+    for c in range(len(a[0])):
+        k = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[rank], a[k] = a[k], a[rank]
+        top = a[rank]
+        p = top[c]
+        for i in range(rank + 1, len(a)):
+            x = a[i][c]
+            a[i] = [(p * u - x * v) // prev for u, v in zip(a[i], top)]
+        prev = p
         rank += 1
-        row += 1
-        if row == m:
+        if rank == len(a):
             break
-    return rank
+    return rank, prev

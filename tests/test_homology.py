@@ -3,8 +3,12 @@ homology, universal coefficients, and Alexander duality."""
 
 import copy
 import random
+import time
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +21,6 @@ from cutcomplexes import (
     SizeCapError,
     WedgeClaim,
     alexander_duality_holds,
-    bareiss_rank,
     bounded_independence_complex,
     chain_complex,
     cohomology_from_homology,
@@ -35,7 +38,6 @@ from cutcomplexes import (
     simplex_boundary,
     skeleton,
     smith_normal_form,
-    smith_normal_form_dense,
     total_cut_complex,
     verify_alexander_duality,
     void_complex,
@@ -46,6 +48,7 @@ from cutcomplexes.homology import (
     homology_of_chain,
     relative_chain_complex,
 )
+from cutcomplexes import snf
 from cutcomplexes.snf import _blocks, _to_rows, _unit_pivots, invariant_chain
 
 # standard 6-vertex, 10-facet triangulation of the real projective plane
@@ -77,6 +80,181 @@ def random_complexes(draw, max_ground=7):
 
 
 # -- Smith normal form -----------------------------------------------------------
+#
+# Oracles for the kernel in ``cutcomplexes.snf``, sharing no code with it: a
+# textbook dense reduction whose diagonal is normalized by pairwise gcd/lcm
+# sweeps, the rank by elimination over the rationals, and invariant factors
+# read off prime-power decompositions.
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g > 0."""
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return g, x, y
+
+
+def chain_by_sweeps(values):
+    """Replace pairs (a, b) with a not dividing b by (gcd, lcm) until none is left."""
+    ones = sum(1 for v in values if abs(v) == 1)
+    rest = sorted(abs(v) for v in values if abs(v) != 1)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(rest)):
+            for j in range(i + 1, len(rest)):
+                a, b = rest[i], rest[j]
+                if b % a:
+                    g = gcd(a, b)
+                    rest[i], rest[j] = g, a * b // g
+                    changed = True
+        rest.sort()
+    return [1] * ones + rest
+
+
+def smith_normal_form_dense(matrix):
+    """Textbook dense reduction; same contract as smith_normal_form."""
+    a = [list(map(int, row)) for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag = []
+    top = 0
+    while True:
+        # find a pivot below/right of (top, top-ish)
+        pivot = None
+        for i in range(top, m):
+            for j in range(n):
+                if a[i][j]:
+                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
+                        pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        while True:
+            v = a[top][top]
+            moved = False
+            for i in range(top + 1, m):
+                if a[i][top] % v:
+                    g, x, y = _xgcd(v, a[i][top])
+                    z, w = -(a[i][top] // g), v // g
+                    for j in range(n):
+                        ai, at = a[i][j], a[top][j]
+                        a[top][j] = x * at + y * ai
+                        a[i][j] = z * at + w * ai
+                    moved = True
+                    v = a[top][top]
+            for i in range(top + 1, m):
+                q = a[i][top] // v
+                if q:
+                    for j in range(n):
+                        a[i][j] -= q * a[top][j]
+            for j in range(top + 1, n):
+                if a[top][j] % v:
+                    g, x, y = _xgcd(v, a[top][j])
+                    z, w = -(a[top][j] // g), v // g
+                    for i in range(m):
+                        at, aj = a[i][top], a[i][j]
+                        a[i][top] = x * at + y * aj
+                        a[i][j] = z * at + w * aj
+                    moved = True
+                    v = a[top][top]
+            for j in range(top + 1, n):
+                q = a[top][j] // v
+                if q:
+                    for i in range(m):
+                        a[i][j] -= q * a[i][top]
+            if not moved and all(a[i][top] == 0 for i in range(top + 1, m)) and all(
+                a[top][j] == 0 for j in range(top + 1, n)
+            ):
+                break
+        diag.append(abs(a[top][top]))
+        top += 1
+        if top >= m or top >= n:
+            break
+    factors = chain_by_sweeps(diag)
+    return factors, len(factors)
+
+
+def rational_rank(matrix):
+    """Rank over the rationals by Gaussian elimination on fractions."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] / a[rank][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
+def prime_power_chain(values):
+    """Invariant factors of the sum of the Z/v, from each v's prime powers."""
+    exponents = {}
+    for v in values:
+        v, p = abs(v), 2
+        while p * p <= v:
+            e = 0
+            while v % p == 0:
+                v //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).append(e)
+            p += 1
+        if v > 1:
+            exponents.setdefault(v, []).append(1)
+    chain = [1] * len(values)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            chain[-1 - i] *= p**e
+    return chain
+
+
+def planted_matrix(rng, blocks, size, rank, shears):
+    """A square integer matrix with known invariant factors.
+
+    Each of ``blocks`` diagonal blocks (``size`` x ``size``) starts as a
+    divisibility chain of ``rank`` entries and is scrambled by ``shears``
+    random elementary row and column operations; rows and columns of the
+    whole matrix are then shuffled.  Returns (matrix, planted diagonal).
+    """
+    n = blocks * size
+    mat = [[0] * n for _ in range(n)]
+    diag = []
+    for b in range(blocks):
+        block = range(b * size, (b + 1) * size)
+        cur = 1
+        for i in block[:rank]:
+            cur *= rng.choice((1, 1, 2, 3))
+            mat[i][i] = cur
+            diag.append(cur)
+        for _ in range(shears):
+            i, j = rng.sample(block, 2)
+            c = rng.choice((-2, -1, 1, 2))
+            if rng.random() < 0.5:
+                for col in block:
+                    mat[i][col] += c * mat[j][col]
+            else:
+                for row in block:
+                    mat[row][i] += c * mat[row][j]
+    rows, cols = list(range(n)), list(range(n))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return [[mat[r][c] for c in cols] for r in rows], diag
 
 
 def test_snf_examples():
@@ -96,6 +274,27 @@ def test_invariant_chain_normalization():
     assert invariant_chain([]) == []
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**4), 10**4).filter(bool),
+            st.sampled_from([1, -1, 2, 3, 4, 6, 8, 9, 12, 18, 36]),
+        ),
+        max_size=40,
+    )
+)
+def test_invariant_chain_matches_prime_powers(values):
+    assert invariant_chain(values) == prime_power_chain(values)
+
+
+def test_invariant_chain_of_units_is_linear():
+    # every verify-all boundary ends with a call on units alone
+    start = time.perf_counter()
+    assert invariant_chain([1, -1] * 200_000) == [1] * 400_000
+    assert time.perf_counter() - start < 2.0
+
+
 @settings(max_examples=250, deadline=None)
 @given(
     st.integers(1, 10),
@@ -113,7 +312,7 @@ def test_snf_sparse_matches_dense_and_bareiss(m, n, entries, rng):
     ]
     factors, rank = smith_normal_form(mat)
     assert (factors, rank) == smith_normal_form_dense(mat)
-    assert rank == bareiss_rank(mat)
+    assert rank == rational_rank(mat)
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
     assert all(f > 0 for f in factors)
@@ -164,7 +363,7 @@ def test_snf_recovers_planted_invariant_factors():
     for diag, size in cases:
         mat = unimodular_scramble(diag, size, rng, shears=rng.randint(5, 40))
         factors, rank = smith_normal_form(mat)
-        assert rank == len(diag) == bareiss_rank(mat)
+        assert rank == len(diag) == rational_rank(mat)
         assert factors == invariant_chain(diag)
         assert (factors, rank) == smith_normal_form_dense(mat)
 
@@ -247,8 +446,72 @@ def test_snf_residual_coupled_along_a_chain():
     assert len(_residual_blocks(mat)) == 1
     factors, rank = smith_normal_form(mat)
     assert (factors, rank) == smith_normal_form_dense(mat)
-    assert rank == bareiss_rank(mat) == size
+    assert rank == rational_rank(mat) == size
 
+
+
+def test_snf_dense_fill_seeds_stay_fast():
+    # one 40 x 40 residual block each, with no unit to start from; reducing
+    # them without a bound took 2.1 s (seed 10) and more than 20 s (seed 20)
+    for seed in (10, 20):
+        mat, diag = planted_matrix(random.Random(seed), 1, 40, 38, 80)
+        start = time.perf_counter()
+        assert smith_normal_form(mat) == (diag, 38)
+        assert time.perf_counter() - start <= 1.0, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 8),
+    st.integers(0, 8),
+    st.randoms(use_true_random=False),
+)
+def test_snf_bounded_route_matches_dense(m, n, r, rng):
+    # B (m x r) times C (r x n), C's entries near +-2^70: rank at most r and
+    # every nonzero entry far past 64 bits, so the reduction runs modulo 2|D|
+    big = 2**70
+    b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    c = [[rng.choice((-1, 1)) * big + rng.randint(-50, 50) for _ in range(n)] for _ in range(r)]
+    mat = [[sum(b[i][t] * c[t][j] for t in range(r)) for j in range(n)] for i in range(m)]
+    if rng.random() < 0.5:
+        mat[rng.randrange(m)] = [0] * n
+    if rng.random() < 0.5:
+        j = rng.randrange(n)
+        for row in mat:
+            row[j] = 0
+    with mock.patch.object(snf, "_bareiss", wraps=snf._bareiss) as bound:
+        factors, rank = smith_normal_form(mat)
+    assert (factors, rank) == smith_normal_form_dense(mat)
+    assert rank == rational_rank(mat)
+    entries = [abs(x) for row in mat for x in row if x]
+    if entries and min(entries) >= 2**64:
+        assert bound.called
+
+
+def test_snf_pivot_dividing_its_column():
+    # the smallest entry divides the rest of its column, so each row step is
+    # a plain subtraction that leaves no remainder, in exact arithmetic (3)
+    # and modulo 2|D| (past 64 bits)
+    for v in (3, 2**70 + 1):
+        mat = [[v, 2 * v], [v, 3 * v], [2 * v, v], [4 * v, 4 * v]]
+        assert smith_normal_form(mat) == ([v, v], 2) == smith_normal_form_dense(mat)
+        assert smith_normal_form([[v, v], [v, v]]) == ([v], 1)
+        assert smith_normal_form([[v], [-v], [5 * v]]) == ([v], 1)
+
+
+@pytest.mark.slow
+def test_snf_planted_sweep():
+    for seed in range(300):
+        mat, diag = planted_matrix(random.Random(seed), 1, 40, 38, 80)
+        start = time.perf_counter()
+        assert smith_normal_form(mat) == (diag, 38), seed
+        assert time.perf_counter() - start <= 0.25, seed
+    # 60 x 60, 180 shears: past 100 s without the bound
+    mat, diag = planted_matrix(random.Random(0), 1, 60, 58, 180)
+    start = time.perf_counter()
+    assert smith_normal_form(mat) == (diag, 58)
+    assert time.perf_counter() - start < 5.0
 
 # -- chain complexes ---------------------------------------------------------------
 
