@@ -35,7 +35,6 @@ from .complexes import (
     link,
     relabel_complex,
     simplex_boundary,
-    skeleton,
     total_cut_complex,
     void_complex,
 )

@@ -27,7 +27,7 @@ import functools
 import json
 import sys
 
-from . import graphs as gr
+from . import graphs as gr, limits
 from .complexes import (
     alexander_dual,
     bounded_independence_complex,
@@ -36,7 +36,6 @@ from .complexes import (
     total_cut_complex,
 )
 from .homology import reduced_homology
-from .limits import SizeCapError
 from .posets import composition_poset, order_complex
 from .verify import DEFAULT_SEED, SUITES, run_all
 
@@ -163,9 +162,9 @@ def _cmd_gen(args):
 def _cmd_complex(args):
     g = _graph_from_args(args)
     if args.kind == "totalcut":
-        k = total_cut_complex(g, args.d, cap=args.force)
+        k = total_cut_complex(g, args.d)
     else:
-        k = bounded_independence_complex(g, args.d, cap=args.force)
+        k = bounded_independence_complex(g, args.d)
     _emit(complex_to_json(k), args.output)
     return 0
 
@@ -180,14 +179,14 @@ def _read_complex(args):
 
 def _cmd_homology(args):
     k = _read_complex(args)
-    profile = reduced_homology(k, cap=args.force)
+    profile = reduced_homology(k)
     _emit(profile_to_json(profile), args.output)
     return 0
 
 
 def _cmd_dual(args):
     k = _read_complex(args)
-    _emit(complex_to_json(alexander_dual(k, cap=args.force)), args.output)
+    _emit(complex_to_json(alexander_dual(k)), args.output)
     return 0
 
 
@@ -225,6 +224,9 @@ def main(argv=None):
         "poset": _cmd_poset,
         "verify": _cmd_verify,
     }
+    # --force N sets the cap of every search in this command, and of no later
+    # one: a process may call main many times
+    limits.override = getattr(args, "force", None)
     try:
         status = handlers[args.command](args)
         sys.stdout.flush()
@@ -232,9 +234,11 @@ def main(argv=None):
     except BrokenPipeError:
         sys.stdout = None  # or the interpreter's flush at exit fails again
         return 141
-    except (gr.GraphFormatError, SizeCapError, ValueError) as exc:
+    except (gr.GraphFormatError, limits.SizeCapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        limits.override = None
 
 
 if __name__ == "__main__":

@@ -138,7 +138,7 @@ class SimplicialComplex:
             return False
         return any(m & ~f == 0 for f in self._facet_masks)
 
-    def face_levels(self, cap=None):
+    def face_levels(self):
         """Yield ``(t, set of t-face masks)`` from the largest facets down.
 
         Level t is the facets of size t and every one-vertex deletion of a
@@ -146,7 +146,7 @@ class SimplicialComplex:
         (``limits.budget``), checked after each coface.  The void complex has
         no levels.
         """
-        spend = budget(f"simplex enumeration over {len(self.ground)} ground vertices", cap)
+        spend = budget(f"simplex enumeration over {len(self.ground)} ground vertices")
         left = spend(0)
         by_size = {}
         for f in self.facet_masks():
@@ -166,9 +166,9 @@ class SimplicialComplex:
             yield t, below
             level = below
 
-    def simplex_masks(self, cap=None):
+    def simplex_masks(self):
         """All simplices as bitmasks, ascending; the face walk's budget applies."""
-        return sorted(m for _, level in self.face_levels(cap) for m in level)
+        return sorted(m for _, level in self.face_levels() for m in level)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -218,7 +218,7 @@ def empty_simplex_complex(ground=()):
 # -- hypergraph dualization ----------------------------------------------------
 
 
-def minimal_transversals(edges, n, cap=None):
+def minimal_transversals(edges, n):
     """Minimal transversals of a hypergraph on vertices 0..n-1, ascending.
 
     ``edges`` are vertex bitmasks; a transversal is a vertex set meeting every
@@ -239,7 +239,7 @@ def minimal_transversals(edges, n, cap=None):
     """
     edges = list(edges)
     found = []
-    spend = budget(f"minimal transversal search over {n} vertices", cap)
+    spend = budget(f"minimal transversal search over {n} vertices")
     through = [0] * n
     for i, e in enumerate(edges):
         while e:
@@ -282,10 +282,10 @@ def minimal_transversals(edges, n, cap=None):
 # -- graph complexes -----------------------------------------------------------
 
 
-def independent_set_masks(g: Graph, d, cap=None):
+def independent_set_masks(g: Graph, d):
     """Bitmasks of all independent d-subsets of V(g); the C(n, d) subsets
     tried are spent up front against the 2^cap budget."""
-    budget(f"scan of the C({g.n}, {d}) vertex {d}-sets", cap)(comb(g.n, d))
+    budget(f"scan of the C({g.n}, {d}) vertex {d}-sets")(comb(g.n, d))
     opens = g.open_masks()
     out = []
     for combo in combinations(range(g.n), d):
@@ -301,19 +301,13 @@ def independent_set_masks(g: Graph, d, cap=None):
     return out
 
 
-def _total_cut(g: Graph, d, cap=None):
-    n = g.n
-    ground = range(1, n + 1)
-    full = (1 << n) - 1
-    indep = independent_set_masks(g, d, cap)
-    if not indep:
-        return SimplicialComplex._from_masks(ground, [])
-    facet_masks = sorted(full ^ s for s in indep)
-    k = SimplicialComplex._from_masks(ground, facet_masks)
-    return k
+def _total_cut(g: Graph, d):
+    full = (1 << g.n) - 1
+    facet_masks = sorted(full ^ s for s in independent_set_masks(g, d))
+    return SimplicialComplex._from_masks(range(1, g.n + 1), facet_masks)
 
 
-def total_cut_complex(g: Graph, d, cap=None):
+def total_cut_complex(g: Graph, d):
     """Complex of vertex sets whose complement keeps an independent d-set.
 
     Facets are the complements of the independent d-sets, found by a scan
@@ -322,10 +316,10 @@ def total_cut_complex(g: Graph, d, cap=None):
     """
     if d < 2:
         raise ValueError(f"total cut complex needs d >= 2, got {d}")
-    return _total_cut(g, d, cap)
+    return _total_cut(g, d)
 
 
-def bounded_independence_complex(g: Graph, d, cap=None):
+def bounded_independence_complex(g: Graph, d):
     """Complex of vertex sets inducing subgraphs with independence number < d.
 
     A vertex set is a simplex iff its complement meets every independent
@@ -337,7 +331,7 @@ def bounded_independence_complex(g: Graph, d, cap=None):
         raise ValueError(f"bounded independence complex needs d >= 2, got {d}")
     n = g.n
     full = (1 << n) - 1
-    transversals = minimal_transversals(independent_set_masks(g, d, cap), n, cap)
+    transversals = minimal_transversals(independent_set_masks(g, d), n)
     return SimplicialComplex._from_masks(
         range(1, n + 1), [full ^ t for t in transversals]
     )
@@ -346,7 +340,7 @@ def bounded_independence_complex(g: Graph, d, cap=None):
 # -- constructions on complexes -------------------------------------------------
 
 
-def alexander_dual(k: SimplicialComplex, cap=None):
+def alexander_dual(k: SimplicialComplex):
     """Dual complex: sets whose ground-set complement is not a simplex of k.
 
     The facets of the dual are the complements of the minimal non-faces of k,
@@ -360,7 +354,7 @@ def alexander_dual(k: SimplicialComplex, cap=None):
     full = (1 << n) - 1
     # the non-faces of k are the sets meeting every facet complement; a void
     # k has no facets, so its one minimal non-face is the empty set
-    non_faces = minimal_transversals([full ^ f for f in k.facet_masks()], n, cap)
+    non_faces = minimal_transversals([full ^ f for f in k.facet_masks()], n)
     return SimplicialComplex._from_masks(k.ground, [full ^ t for t in non_faces])
 
 
@@ -476,30 +470,6 @@ def join(k1: SimplicialComplex, k2: SimplicialComplex):
     return SimplicialComplex(ground, facets)
 
 
-def skeleton(k: SimplicialComplex, d):
-    """Subcomplex of simplices with at most d+1 vertices.
-
-    Its facets are the facets of k with at most d+1 vertices and the
-    (d+1)-subsets of the larger ones; none of these contains another.  The
-    C(|F|, d+1) subsets of every facet F are spent up front against the 2^cap
-    budget.
-    """
-    if d < 0:
-        raise ValueError(f"skeleton needs d >= 0, got {d}")
-    masks = k.facet_masks()
-    budget(f"{d}-skeleton of a complex on {len(k.ground)} vertices")(
-        sum(comb(f.bit_count(), d + 1) for f in masks)
-    )
-    facets = set()
-    for f in masks:
-        if f.bit_count() <= d + 1:
-            facets.add(f)
-        else:
-            bits = [1 << i for i in range(f.bit_length()) if f >> i & 1]
-            facets.update(map(sum, combinations(bits, d + 1)))
-    return SimplicialComplex._from_masks(k.ground, facets)
-
-
 def is_skeleton_full(k: SimplicialComplex, d):
     """Is every (d+1)-subset of the ground set a simplex?
 
@@ -587,6 +557,8 @@ def complex_from_json(obj):
         if facets:
             raise ValueError("a void complex cannot list facets")
         return void_complex(ground)
+    if not facets:
+        raise ValueError('"void" is false, so "facets" must list at least one facet')
     return SimplicialComplex(ground, facets)
 
 

@@ -9,7 +9,8 @@ All measurements are exact: the independence number is computed by
 branch-and-bound, and ``alpha_table`` tabulates the independence number of
 every induced subgraph at once (one byte per vertex subset) for checks that
 read every subset, such as the coloring checks of the structural suite.
-Both count their work against the 2^cap budget of ``limits.budget``.
+Both count their work against the 2^cap budget of ``limits.budget``, whose
+cap ``limits.resolve_cap`` sets for all searches.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ class Graph:
             self._closed_masks = tuple(m | (1 << i) for i, m in enumerate(opens))
         return self._closed_masks
 
-    def alpha_table(self, cap=None):
+    def alpha_table(self):
         """Independence number of every induced subgraph, indexed by vertex bitmask.
 
         Entry ``t[m]`` is the independence number of the subgraph induced by
@@ -105,7 +106,7 @@ class Graph:
         entries are spent up front against the 2^cap budget.
         """
         if self._alpha is None:
-            budget(f"alpha_table over {self.n} vertices", cap)(1 << self.n)
+            budget(f"alpha_table over {self.n} vertices")(1 << self.n)
             closed = self.closed_masks()
             table = bytearray(1 << self.n)
             for m in range(1, 1 << self.n):
@@ -265,7 +266,7 @@ def girth(g):
     return best
 
 
-def independence_number(g, cap=None):
+def independence_number(g):
     """Exact independence number by branch-and-bound.
 
     Branches on the highest-degree vertex remaining and prunes with the
@@ -274,7 +275,7 @@ def independence_number(g, cap=None):
     """
     if g.n == 0:
         return 0
-    spend = budget(f"independence number search over {g.n} vertices", cap)
+    spend = budget(f"independence number search over {g.n} vertices")
     order = sorted(range(g.n), key=lambda i: -len(g.adj[i + 1]))
     opens = g.open_masks()
     best = 0

@@ -270,7 +270,7 @@ def _check_boundary_squares_to_zero(cc):
                 raise RuntimeError(f"boundary composition is nonzero in degree {q}")
 
 
-def chain_complex(k: SimplicialComplex, cap=None):
+def chain_complex(k: SimplicialComplex):
     """Augmented chain complex of a complex; void complexes yield the zero complex.
 
     Faces come level by level from ``SimplicialComplex.face_levels``, whose
@@ -285,21 +285,21 @@ def chain_complex(k: SimplicialComplex, cap=None):
         return ChainComplex(tuple(k.ground), {}, {}, void=True)
     n = len(k.ground)
     by_degree = {}
-    for t, level in k.face_levels(cap):
+    for t, level in k.face_levels():
         if len(level) == comb(n, t):
             break
         by_degree[t - 1] = sorted(level)
     return _assemble(k.ground, by_degree, complete_to=t - 1)
 
 
-def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex, cap=None):
+def relative_chain_complex(k: SimplicialComplex, l: SimplicialComplex):
     """Quotient chain complex of a pair: basis = simplices of k not in l."""
     if tuple(l.ground) != tuple(k.ground):
         raise ValueError("relative homology needs complexes on one ground set")
-    lfaces = set().union(*(level for _, level in l.face_levels(cap)))
+    lfaces = set().union(*(level for _, level in l.face_levels()))
     by_degree = {}
     shared = 0
-    for t, level in k.face_levels(cap):
+    for t, level in k.face_levels():
         kept = level - lfaces
         shared += len(level) - len(kept)
         if kept:
@@ -346,7 +346,7 @@ def homology_of_chain(cc: ChainComplex):
     return profile
 
 
-def reduced_homology(k: SimplicialComplex, cap=None):
+def reduced_homology(k: SimplicialComplex):
     """Exact reduced homology: Betti numbers and torsion per degree.
 
     The chain complex is built on the strong-collapse core of ``k``, which has
@@ -354,12 +354,12 @@ def reduced_homology(k: SimplicialComplex, cap=None):
     the core.  The complex {emptyset} reports one Z in degree -1; the void
     complex reports the empty, void-flagged profile.
     """
-    return homology_of_chain(chain_complex(strong_core(k), cap))
+    return homology_of_chain(chain_complex(strong_core(k)))
 
 
-def relative_homology(k: SimplicialComplex, l: SimplicialComplex, cap=None):
+def relative_homology(k: SimplicialComplex, l: SimplicialComplex):
     """Homology of the pair (k, l) via the quotient chain complex."""
-    return homology_of_chain(relative_chain_complex(k, l, cap))
+    return homology_of_chain(relative_chain_complex(k, l))
 
 
 def cohomology_from_homology(profile: HomologyProfile):
@@ -382,22 +382,20 @@ def cohomology_from_homology(profile: HomologyProfile):
     return HomologyProfile(groups, void=profile.void)
 
 
-def alexander_duality_holds(k: SimplicialComplex, profile: HomologyProfile, cap=None):
+def alexander_duality_holds(k: SimplicialComplex, profile: HomologyProfile):
     """Does H~_i(K) = H~^(n-i-3)(K*) hold in every degree, torsion included?
 
     ``profile`` is the reduced homology of ``k``, already computed; only the
     dual's homology is computed here.
     """
     n = len(k.ground)
-    dual_cohomology = cohomology_from_homology(
-        reduced_homology(alexander_dual(k, cap), cap)
-    )
+    dual_cohomology = cohomology_from_homology(reduced_homology(alexander_dual(k)))
     lhs = {q: (b, t) for q, b, t in profile.groups}
     rhs = {n - 3 - q: (b, t) for q, b, t in dual_cohomology.groups}
     return lhs == rhs
 
 
-def verify_alexander_duality(k: SimplicialComplex, cap=None):
+def verify_alexander_duality(k: SimplicialComplex):
     """Check Alexander duality on ``k`` from scratch; each search in it spends
     its own 2^cap budget."""
-    return alexander_duality_holds(k, reduced_homology(k, cap), cap)
+    return alexander_duality_holds(k, reduced_homology(k))

@@ -9,8 +9,8 @@ spheres S^(d-2) for k >= d (``expected_order_complex_claim``); the ``poset``
 verification suite checks this by computing exact homology.
 
 A poset's elements and its maximal-chain search each spend the 2^cap work
-budget of ``limits.budget`` (the cap comes from ``CUTCOMPLEXES_MAX_GROUND``):
-an oversized poset is refused before its elements are listed, and an
+budget of ``limits.budget`` (``limits.resolve_cap`` sets the cap of every
+search): an oversized poset is refused before its elements are listed, and an
 oversized order complex as soon as its chain search goes over.
 """
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cutcomplexes import cli
+from cutcomplexes import SizeCapError, cli, complex_from_json, reduced_homology
 from cutcomplexes.cli import main
 
 
@@ -184,6 +184,8 @@ MALFORMED_COMPLEXES = [
      "error: facets[1] repeats facets[0]"),
     ('{"ground": [1, 2], "facets": [[1, 3]], "void": false}',
      "error: facets[0]: vertex 3 is not in the ground set"),
+    ('{"ground": [1, 2], "facets": [], "void": false}',
+     "error: \"void\" is false, so \"facets\" must list at least one facet"),
 ]
 
 
@@ -233,6 +235,20 @@ def test_force_raises_cap(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "dual", "--complex", str(source), "--force", "6")
     assert code == 0
     assert len(json.loads(out)["facets"]) == 5
+
+
+def test_force_holds_for_one_command(capsys, monkeypatch):
+    # --force sets the cap of the command it is given to, and of no later
+    # call in the same process, whether that command succeeds or exits 2
+    payload = cross_polytope_payload()
+    sphere = complex_from_json(json.loads(payload))
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
+    for force, status in (("12", 0), ("6", 2)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, _, err = run_cli(capsys, "homology", "--force", force)
+        assert code == status, err
+        with pytest.raises(SizeCapError, match=r"exceeds the 2\^5 budget"):
+            reduced_homology(sphere)
 
 
 def test_env_var_mirrors_force(capsys, monkeypatch):

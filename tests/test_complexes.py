@@ -32,7 +32,6 @@ from cutcomplexes import (
     path,
     relabel_complex,
     simplex_boundary,
-    skeleton,
     total_cut_complex,
     void_complex,
 )
@@ -206,7 +205,7 @@ def random_sub_facets(k, rng):
     ]
 
 
-def test_face_walk_matches_facet_subsets():
+def test_face_walk_matches_facet_subsets(monkeypatch):
     rng = random.Random(14)
     cases = [void_complex([1, 2]), empty_simplex_complex([1, 2])]
     for _ in range(150):
@@ -223,9 +222,12 @@ def test_face_walk_matches_facet_subsets():
         if len(faces) > 1:
             # the walk counts each face once against 2^cap
             cap = (len(faces) - 1).bit_length()
-            assert len(k.simplex_masks(cap)) == len(faces)
-            with pytest.raises(SizeCapError, match="budget"):
-                k.simplex_masks(cap - 1)
+            with monkeypatch.context() as m:
+                m.setenv("CUTCOMPLEXES_MAX_GROUND", str(cap))
+                assert len(k.simplex_masks()) == len(faces)
+                m.setenv("CUTCOMPLEXES_MAX_GROUND", str(cap - 1))
+                with pytest.raises(SizeCapError, match="budget"):
+                    k.simplex_masks()
         # relative bases: the faces of k off a subcomplex, or a refusal when
         # the second complex does not lie in k
         other = rng.choice(cases)
@@ -427,8 +429,8 @@ def test_minimal_transversals_walk_a_pinned_search_tree(monkeypatch):
     spent = []
     real_budget = complexes.budget
 
-    def counting_budget(what, cap=None):
-        spend = real_budget(what, cap)
+    def counting_budget(what):
+        spend = real_budget(what)
         spent.append(0)
 
         def count(units=1):
@@ -497,7 +499,7 @@ def vertex_simplices(k):
 
 
 def test_mask_constructions_match_their_definitions():
-    # link, deletion, skeleton, union and intersection work on facet masks;
+    # link, deletion, union and intersection work on facet masks;
     # each is checked against its definition on the vertex sets of simplices
     assert SimplicialComplex.__slots__ == ("ground", "_facet_masks")
     rng = random.Random(19)
@@ -526,8 +528,6 @@ def test_mask_constructions_match_their_definitions():
             results.append((
                 deletion(k, sigma), k.ground, {s for s in simplices if not sigma <= s}
             ))
-        for d in range(4):
-            results.append((skeleton(k, d), k.ground, {s for s in simplices if len(s) <= d + 1}))
         other = SimplicialComplex.from_facet_candidates(
             k.ground, [rng.sample(k.ground, rng.randint(0, len(k.ground))) for _ in range(3)]
         )
@@ -543,7 +543,7 @@ def test_mask_constructions_match_their_definitions():
             assert SimplicialComplex(ground, result.facets) == result
 
 
-# -- join and skeleton ---------------------------------------------------------------------
+# -- join and skeleton fullness ------------------------------------------------------------
 
 
 def test_join_rules():
@@ -558,15 +558,6 @@ def test_join_rules():
     assert join(void_complex([1]), other).is_void
     with pytest.raises(ValueError):
         join(k, SimplicialComplex([3, 5], [{3}]))
-
-
-def test_skeleton_rules():
-    k = full_simplex([1, 2, 3, 4])
-    edges = skeleton(k, 1)
-    assert len(edges.facets) == 6
-    assert skeleton(k, k.dim()) == k
-    # C(n+1, d+1) facets on the skeleton of a full simplex
-    assert len(skeleton(full_simplex(range(1, 7)), 2).facets) == 20
 
 
 def test_skeleton_fullness_examples():
@@ -586,30 +577,19 @@ def test_skeleton_scans_spend_the_budget(monkeypatch):
     with pytest.raises(SizeCapError, match=r"C\(40, 19\) vertex 19-sets exceeds the 2\^20"):
         is_skeleton_full(k, 18)
     assert time.perf_counter() - t0 < 2
-    # C(23, 12) = 1,352,078 subsets of the one facet are over 2^20
-    with pytest.raises(SizeCapError, match="11-skeleton of a complex on 23 vertices"):
-        skeleton(full_simplex(range(1, 24)), 11)
 
 
 def test_skeleton_scan_thresholds(monkeypatch):
     simplex = full_simplex([1, 2, 3, 4])
     edges = SimplicialComplex([1, 2, 3, 4], [{1, 2}, {3, 4}])
-    # exactly 2^2 units: C(4, 1) vertex sets, or C(2, 1) + C(2, 1) facet subsets
+    # exactly 2^2 units: C(4, 1) vertex sets
     monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "2")
     assert is_skeleton_full(simplex, 0) and is_skeleton_full(edges, 0)
-    assert len(skeleton(simplex, 0).facets) == 4
-    assert len(skeleton(edges, 0).facets) == 4
-    for scan in (
-        lambda: is_skeleton_full(simplex, 1),  # C(4, 2) = 6
-        lambda: skeleton(simplex, 1),
-        lambda: skeleton(SimplicialComplex([1, 2, 3, 4, 5], [{1, 2}, {3, 4}, {5}]), 0),
-    ):
-        with pytest.raises(SizeCapError, match="exceeds the 2\\^2 budget"):
-            scan()
+    with pytest.raises(SizeCapError, match="exceeds the 2\\^2 budget"):
+        is_skeleton_full(simplex, 1)  # C(4, 2) = 6
     monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "1")
-    for scan in (lambda: is_skeleton_full(simplex, 0), lambda: skeleton(edges, 0)):
-        with pytest.raises(SizeCapError, match="exceeds the 2\\^1 budget"):
-            scan()
+    with pytest.raises(SizeCapError, match="exceeds the 2\\^1 budget"):
+        is_skeleton_full(simplex, 0)
 
 
 # -- disjoint union law ------------------------------------------------------------------------

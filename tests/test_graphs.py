@@ -170,19 +170,23 @@ def test_independence_closed_forms():
                 assert alpha_c == 1
 
 
-def test_independence_guard():
+def test_independence_guard(monkeypatch):
     # the branch-and-bound counts its nodes, not the vertices: 25 isolated
     # vertices answer at once, and a 24-vertex perfect matching needs more
     # than 2^15 nodes and at most 2^16
     assert independence_number(Graph(25)) == 25
     matching = Graph(24, [(2 * i + 1, 2 * i + 2) for i in range(12)])
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "15")
     with pytest.raises(SizeCapError, match=r"exceeds the 2\^15 budget"):
-        independence_number(matching, 15)
-    assert independence_number(matching, 16) == 12
+        independence_number(matching)
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "16")
+    assert independence_number(matching) == 12
     # alpha_table spends its 2^n entries: 6 vertices need a cap of 6
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "5")
     with pytest.raises(SizeCapError, match=r"exceeds the 2\^5 budget"):
-        Graph(6).alpha_table(5)
-    assert len(Graph(6).alpha_table(6)) == 64
+        Graph(6).alpha_table()
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "6")
+    assert len(Graph(6).alpha_table()) == 64
 
 
 @settings(max_examples=60, deadline=None)

@@ -36,7 +36,6 @@ from cutcomplexes import (
     relative_homology,
     rook,
     simplex_boundary,
-    skeleton,
     smith_normal_form,
     total_cut_complex,
     verify_alexander_duality,
@@ -602,20 +601,22 @@ def cross_polytope_boundary(n):
     )
 
 
-def test_chain_complex_cap():
+def test_chain_complex_cap(monkeypatch):
     # the face walk counts the faces it makes against 2^cap: 243 faces here
     sphere = cross_polytope_boundary(5)
     for cap in (5, 7):
+        monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", str(cap))
         with pytest.raises(SizeCapError, match=rf"exceeds the 2\^{cap} budget"):
-            chain_complex(sphere, cap)
+            chain_complex(sphere)
         with pytest.raises(SizeCapError):
-            reduced_homology(sphere, cap)
+            reduced_homology(sphere)
         with pytest.raises(SizeCapError):
-            sphere.simplex_masks(cap)
+            sphere.simplex_masks()
         with pytest.raises(SizeCapError):
-            relative_chain_complex(sphere, void_complex(sphere.ground), cap)
-    assert reduced_homology(sphere, 8).groups == ((4, 1, ()),)
-    assert len(sphere.simplex_masks(8)) == 243
+            relative_chain_complex(sphere, void_complex(sphere.ground))
+    monkeypatch.setenv("CUTCOMPLEXES_MAX_GROUND", "8")
+    assert reduced_homology(sphere).groups == ((4, 1, ()),)
+    assert len(sphere.simplex_masks()) == 243
     # over 24 ground vertices, the full simplex is one complete level
     cc = chain_complex(full_simplex(range(1, 25)))
     assert cc.complete_to == 23 and not cc.bases
@@ -764,7 +765,7 @@ def test_full_skeleton_shortcut_matches_plain_snf():
         total_cut_complex(complete_multipartite(2, 2, 2, 2), 3),
         total_cut_complex(graph_power(cycle(9), 2), 2),
         bounded_independence_complex(graph_power(cycle(10), 2), 2),
-        skeleton(full_simplex(range(1, 8)), 3),
+        SimplicialComplex(range(1, 8), combinations(range(1, 8), 4)),
         simplex_boundary(range(1, 7)),
         full_simplex(range(1, 6)),
         empty_simplex_complex([1, 2]),
@@ -781,10 +782,9 @@ def test_full_skeleton_shortcut_matches_plain_snf():
     for k in (rp2(), join(rp2(), simplex_boundary([7, 8, 9]))):
         assert chain_complex(k).complete_to == 1
     assert homology_of_chain(chain_complex(rp2())).groups == ((1, 0, (2,)),)
-    assert chain_complex(skeleton(full_simplex(range(1, 8)), 3)).complete_to == 3
-    assert reduced_homology(skeleton(full_simplex(range(1, 8)), 3)).groups == (
-        (3, 15, ()),
-    )
+    three_skeleton = SimplicialComplex(range(1, 8), combinations(range(1, 8), 4))
+    assert chain_complex(three_skeleton).complete_to == 3
+    assert reduced_homology(three_skeleton).groups == ((3, 15, ()),)
 
 
 def homology_dense(k):
