@@ -33,8 +33,6 @@ from .complexes import (
     is_skeleton_full,
     join,
     link,
-    relabel_complex,
-    simplex_boundary,
     total_cut_complex,
     void_complex,
 )

@@ -5,8 +5,7 @@ allowed), the facets are the inclusion-maximal simplices, and the void complex
 (no simplices at all) is distinct from ``{emptyset}`` (exactly one empty
 facet).  A complex holds its sorted ground tuple and its facets as bitmasks
 over it, and nothing else; every construction below works on the masks,
-except ``join`` and ``relabel_complex``, which reorder the ground set and go
-through vertex sets.  Simplices are enumerated on demand by one budgeted face
+except ``join``, which reorders the ground set and goes through vertex sets.  Simplices are enumerated on demand by one budgeted face
 walk (``SimplicialComplex.face_levels``).
 
 The two graph complexes:
@@ -21,8 +20,7 @@ The two graph complexes:
 
 The two are Alexander duals of one another, and ``alexander_dual`` finds
 its facets with the same ``minimal_transversals`` routine.  The suites build
-their identities from link, deletion, join, union, intersection and
-relabelling; homology runs on the strong-collapse core (``strong_core``), and
+their identities from link, deletion, join, union and intersection; homology runs on the strong-collapse core (``strong_core``), and
 its riders check skeleton fullness and the dual.  Complexes cross the CLI as
 JSON (``complex_to_json``, ``complex_from_json``).
 """
@@ -87,12 +85,6 @@ class SimplicialComplex:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def from_facet_candidates(cls, ground, candidates):
-        """Build from arbitrary generating sets; dominated sets are pruned."""
-        ground = tuple(sorted(set(ground)))
-        return cls._from_masks(ground, _prune_to_maximal(_vertex_masks(ground, candidates)))
-
-    @classmethod
     def _from_masks(cls, ground, facet_masks):
         """Trusted fast path: ``ground`` must be sorted and ``facet_masks``
         maximal."""
@@ -129,14 +121,6 @@ class SimplicialComplex:
         if self.is_void:
             return None
         return max(m.bit_count() for m in self._facet_masks) - 1
-
-    def contains(self, vertices):
-        """Membership test: is ``vertices`` a simplex?"""
-        try:
-            (m,) = _vertex_masks(self.ground, [vertices])
-        except ValueError:
-            return False
-        return any(m & ~f == 0 for f in self._facet_masks)
 
     def face_levels(self):
         """Yield ``(t, set of t-face masks)`` from the largest facets down.
@@ -195,24 +179,8 @@ def full_simplex(vertices):
     return SimplicialComplex(vertices, [vertices])
 
 
-def simplex_boundary(vertices):
-    """Boundary of the full simplex: all proper subsets of ``vertices``."""
-    vertices = tuple(sorted(set(vertices)))
-    if not vertices:
-        raise ValueError("boundary needs at least one vertex")
-    if len(vertices) == 1:
-        return SimplicialComplex(vertices, [frozenset()])
-    facets = [set(vertices) - {v} for v in vertices]
-    return SimplicialComplex(vertices, facets)
-
-
 def void_complex(ground=()):
     return SimplicialComplex(ground, [])
-
-
-def empty_simplex_complex(ground=()):
-    """The complex {emptyset} (every ground vertex phantom)."""
-    return SimplicialComplex(ground, [frozenset()])
 
 
 # -- hypergraph dualization ----------------------------------------------------
@@ -301,12 +269,6 @@ def independent_set_masks(g: Graph, d):
     return out
 
 
-def _total_cut(g: Graph, d):
-    full = (1 << g.n) - 1
-    facet_masks = sorted(full ^ s for s in independent_set_masks(g, d))
-    return SimplicialComplex._from_masks(range(1, g.n + 1), facet_masks)
-
-
 def total_cut_complex(g: Graph, d):
     """Complex of vertex sets whose complement keeps an independent d-set.
 
@@ -316,7 +278,9 @@ def total_cut_complex(g: Graph, d):
     """
     if d < 2:
         raise ValueError(f"total cut complex needs d >= 2, got {d}")
-    return _total_cut(g, d)
+    full = (1 << g.n) - 1
+    facet_masks = sorted(full ^ s for s in independent_set_masks(g, d))
+    return SimplicialComplex._from_masks(range(1, g.n + 1), facet_masks)
 
 
 def bounded_independence_complex(g: Graph, d):
@@ -502,18 +466,6 @@ def complex_intersection(k1: SimplicialComplex, k2: SimplicialComplex):
         raise ValueError("intersection requires a shared ground set")
     masks = [f1 & f2 for f1 in k1.facet_masks() for f2 in k2.facet_masks()]
     return SimplicialComplex._from_masks(k1.ground, _prune_to_maximal(masks))
-
-
-def relabel_complex(k: SimplicialComplex, mapping):
-    """Push a complex through an injective vertex relabelling.
-
-    ``mapping`` is a dict or callable old label -> new label.
-    """
-    f = mapping.__getitem__ if isinstance(mapping, dict) else mapping
-    new_ground = [f(v) for v in k.ground]
-    if len(set(new_ground)) != len(new_ground):
-        raise ValueError("relabelling must be injective")
-    return SimplicialComplex(new_ground, [[f(v) for v in fac] for fac in k.facets])
 
 
 # -- serialization ---------------------------------------------------------------

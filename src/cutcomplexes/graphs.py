@@ -1,9 +1,9 @@
 """Simple undirected graphs on vertex set {1, ..., n}: generators and exact invariants.
 
-Vertices are dense integer labels.  Derived graphs (induced subgraphs, powers,
-grids and rook graphs, disjoint unions) are relabelled onto 1..n and keep the
-original labels in ``Graph.labels`` so output stays traceable to the
-construction that produced it.
+Every graph has vertices 1..n and keeps no record of a graph it was derived
+from.  A derived graph (induced subgraph, power, grid or rook graph, disjoint
+union) numbers its vertices in the order that its generator's docstring
+states.
 
 All measurements are exact: the independence number is computed by
 branch-and-bound, and ``alpha_table`` tabulates the independence number of
@@ -27,15 +27,11 @@ class GraphFormatError(ValueError):
 
 
 class Graph:
-    """Immutable simple graph with adjacency sets over vertices 1..n.
+    """Immutable simple graph with adjacency sets over vertices 1..n."""
 
-    ``labels``, when present, maps each vertex to the label it carried in the
-    graph this one was derived from (an int, or a tuple for products).
-    """
+    __slots__ = ("n", "adj", "_open_masks", "_closed_masks", "_alpha")
 
-    __slots__ = ("n", "adj", "labels", "_open_masks", "_closed_masks", "_alpha")
-
-    def __init__(self, n, edges=(), labels=None):
+    def __init__(self, n, edges=()):
         if n < 0:
             raise ValueError(f"graph order must be nonnegative, got {n}")
         adj = {v: set() for v in range(1, n + 1)}
@@ -48,7 +44,6 @@ class Graph:
             adj[v].add(u)
         self.n = n
         self.adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self.labels = tuple(labels) if labels is not None else None
         self._open_masks = None
         self._closed_masks = None
         self._alpha = None
@@ -67,9 +62,6 @@ class Graph:
 
     def closed_neighbors(self, v):
         return self.adj[v] | {v}
-
-    def original_label(self, v):
-        return self.labels[v - 1] if self.labels is not None else v
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -176,35 +168,36 @@ def _product_family(factors, dims):
                 j = index[s]
                 if i < j:
                     edges.add((i, j))
-    return Graph(len(tuples), sorted(edges), labels=tuples)
+    return Graph(len(tuples), sorted(edges))
 
 
 def grid(*dims):
-    """Cartesian product of paths P_{d_1} x ... x P_{d_k} on tuple-lex labels."""
+    """Cartesian product of paths P_{d_1} x ... x P_{d_k}; vertex i is the
+    i-th coordinate tuple in lexicographic order."""
     return _product_family([path(d) for d in dims], dims)
 
 
 def rook(*dims):
-    """Cartesian product of complete graphs K_{d_1} x ... x K_{d_k}."""
+    """Cartesian product of complete graphs K_{d_1} x ... x K_{d_k}, on the
+    vertex order of ``grid``."""
     return _product_family([complete(d) for d in dims], dims)
 
 
 def disjoint_union(*graphs):
-    """Disjoint union; the i-th component is relabelled onto a contiguous block."""
+    """Disjoint union: vertex v of the i-th graph becomes v plus the orders of
+    the graphs before it, so each component is a contiguous block."""
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
     edges = []
-    labels = []
     offset = 0
-    for idx, g in enumerate(graphs):
+    for g in graphs:
         edges.extend((u + offset, v + offset) for u, v in g.edges())
-        labels.extend((idx + 1, g.original_label(v)) for v in g.vertices())
         offset += g.n
-    return Graph(offset, edges, labels=labels)
+    return Graph(offset, edges)
 
 
 def induced_subgraph(g, vs):
-    """Subgraph induced by ``vs``, relabelled 1..|vs|; labels retain the original names."""
+    """Subgraph induced by ``vs``: vertex i is the i-th smallest vertex of ``vs``."""
     keep = sorted(set(vs))
     for v in keep:
         if not 1 <= v <= g.n:
@@ -213,11 +206,11 @@ def induced_subgraph(g, vs):
     edges = [
         (index[u], index[v]) for u, v in combinations(keep, 2) if v in g.adj[u]
     ]
-    return Graph(len(keep), edges, labels=[g.original_label(v) for v in keep])
+    return Graph(len(keep), edges)
 
 
 def delete_vertices(g, vs):
-    """g minus the vertices in ``vs`` (relabelled; see induced_subgraph)."""
+    """g minus the vertices in ``vs``: vertex i is the i-th smallest survivor."""
     drop = set(vs)
     return induced_subgraph(g, [v for v in g.vertices() if v not in drop])
 
@@ -230,7 +223,7 @@ def graph_power(g, r):
     for u in g.vertices():
         dist = bfs_distances(g, u)
         edges.extend((u, v) for v, d in dist.items() if u < v and d <= r)
-    return Graph(g.n, edges, labels=g.labels)
+    return Graph(g.n, edges)
 
 
 # -- measurements ------------------------------------------------------------

@@ -50,13 +50,6 @@ class CompositionPoset:
     elements: tuple
     augmented: bool = False
 
-    @staticmethod
-    def leq(a, b):
-        return all(x <= y for x, y in zip(a, b))
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def composition_poset(m, k, augmented=False):
     """The poset of compositions of k+1..m into k parts; its C(m, k) - 1

@@ -41,17 +41,17 @@ from math import comb
 
 from . import graphs as gr
 from .complexes import (
+    SimplicialComplex,
     bounded_independence_complex,
     complex_intersection,
     complex_union,
     deletion,
     full_simplex,
+    independent_set_masks,
     is_skeleton_full,
     join,
     link,
-    relabel_complex,
     total_cut_complex,
-    _total_cut,
 )
 from .homology import (
     WedgeClaim,
@@ -172,13 +172,12 @@ def run_suite(recipes, seed=DEFAULT_SEED, pattern=None):
 def petersen():
     """Kneser graph on 2-subsets of a 5-set: vertices adjacent iff disjoint."""
     pairs = list(combinations(range(1, 6), 2))
-    index = {p: i + 1 for i, p in enumerate(pairs)}
     edges = [
-        (index[p], index[q])
-        for p, q in combinations(pairs, 2)
+        (i + 1, j + 1)
+        for (i, p), (j, q) in combinations(enumerate(pairs), 2)
         if not (set(p) & set(q))
     ]
-    return gr.Graph(10, edges, labels=pairs)
+    return gr.Graph(10, edges)
 
 
 def random_graph(n, p, rng):
@@ -520,10 +519,6 @@ def union_recipes(seed):
 # -- structural suite -------------------------------------------------------------
 
 
-def _profiles_equal(p, q):
-    return p.void == q.void and p.groups == q.groups
-
-
 def _betti_map(profile):
     return {deg: b for deg, b, _ in profile.groups if b}
 
@@ -583,7 +578,7 @@ def _domination_recipes(rng, seed):
                 rhs = reduced_homology(
                     bounded_independence_complex(gr.delete_vertices(g, [v]), d)
                 )
-                ok = _profiles_equal(lhs, rhs)
+                ok = lhs == rhs
                 return ok, f"{lhs.describe()} vs {rhs.describe()}"
 
             yield TheoremInstance(
@@ -651,26 +646,28 @@ def _chordal_recipes(rng, seed):
             )
 
 
-def _restore_labels(sub):
-    """Relabelling map from a derived graph's dense labels back to the originals."""
-    return {v: sub.original_label(v) for v in sub.vertices()}
-
-
-def _cut_on_original_labels(g_sub, d):
-    """Total cut complex of a derived graph, pushed back to original labels."""
-    k = _total_cut(g_sub, d)
-    return relabel_complex(k, _restore_labels(g_sub))
+def _cut_off(g, drop, d):
+    """The d-total cut complex of g minus the vertices in the mask ``drop``, on
+    g's own vertices: its facets are (V - drop) - I for the independent d-sets
+    I of g that miss ``drop``.  d = 1 gives the boundary of the simplex on
+    V - drop.  Built from g, not from the total cut complex of g, so the
+    identities below do not check it against itself."""
+    keep = [v for v in g.vertices() if not drop >> (v - 1) & 1]
+    facets = [
+        [v for v in keep if not m >> (v - 1) & 1]
+        for m in independent_set_masks(g, d)
+        if not m & drop
+    ]
+    return SimplicialComplex(keep, facets)
 
 
 def _delcom_expected_pieces(g, v, d):
-    """The two complexes on V(g) - v featured in the deletion identities."""
-    without_v = gr.delete_vertices(g, [v])
-    cut_minus_v = _cut_on_original_labels(without_v, d)
-    nv = sorted(g.adj[v])
-    rest = gr.delete_vertices(g, list(g.adj[v]) + [v])
-    lower = _cut_on_original_labels(rest, d - 1)
-    joined = join(full_simplex(nv), lower)
-    return cut_minus_v, joined
+    """The two complexes on V(g) - v featured in the deletion identities: the
+    d-total cut complex of g - v, and the join of the simplex on N(v) with the
+    (d-1)-total cut complex of g - N[v]."""
+    cut_minus_v = _cut_off(g, 1 << (v - 1), d)
+    lower = _cut_off(g, g.closed_masks()[v - 1], d - 1)
+    return cut_minus_v, join(full_simplex(g.adj[v]), lower)
 
 
 def _deletion_recipes():
@@ -702,7 +699,7 @@ def _deletion_recipes():
                     continue
 
                 def runner(g=g, v=v, d=d, case=case):
-                    whole = _total_cut(g, d)
+                    whole = total_cut_complex(g, d)
                     deleted = deletion(whole, [v])
                     cut_minus_v, joined = _delcom_expected_pieces(g, v, d)
                     if case == "a":
@@ -746,7 +743,7 @@ def _suspension_recipes():
             continue
 
         def runner(g=g, v=v, d=d):
-            whole = reduced_homology(_total_cut(g, d))
+            whole = reduced_homology(total_cut_complex(g, d))
             cut_minus_v, joined = _delcom_expected_pieces(g, v, d)
             inter = complex_intersection(cut_minus_v, joined)
             shifted = reduced_homology(inter).shifted(1)

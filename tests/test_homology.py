@@ -35,13 +35,12 @@ from cutcomplexes import (
     reduced_homology,
     relative_homology,
     rook,
-    simplex_boundary,
     smith_normal_form,
     total_cut_complex,
     verify_alexander_duality,
     void_complex,
 )
-from cutcomplexes.complexes import empty_simplex_complex, relabel_complex, strong_core
+from cutcomplexes.complexes import strong_core
 from cutcomplexes.homology import (
     _check_boundary_squares_to_zero,
     homology_of_chain,
@@ -61,6 +60,17 @@ def rp2():
     return SimplicialComplex(range(1, 7), RP2_FACETS)
 
 
+def generated(ground, sets):
+    """The complex whose simplices are the subsets of ``sets``."""
+    sets = {frozenset(s) for s in sets}
+    return SimplicialComplex(ground, [s for s in sets if not any(s < t for t in sets)])
+
+
+def simplex_boundary(vertices):
+    """The proper subsets of ``vertices``: {emptyset} on one vertex."""
+    return SimplicialComplex(vertices, [set(vertices) - {v} for v in vertices])
+
+
 def random_graph(n, p, rng):
     return Graph(
         n, [(u, v) for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
@@ -75,7 +85,7 @@ def random_complexes(draw, max_ground=7):
     facets = [
         draw(st.sets(st.sampled_from(ground), max_size=n)) for _ in range(n_facets)
     ]
-    return SimplicialComplex.from_facet_candidates(ground, facets)
+    return generated(ground, facets)
 
 
 # -- Smith normal form -----------------------------------------------------------
@@ -578,9 +588,9 @@ def test_chain_complex_shapes():
 
 def test_chain_complex_void_and_augmentation():
     assert chain_complex(void_complex([1, 2])).void
-    cc = full_chain_complex(empty_simplex_complex([1]))
+    cc = full_chain_complex(SimplicialComplex([1], [()]))
     assert basis(cc, -1) == [()]
-    assert cc.top == -1 == chain_complex(empty_simplex_complex([1])).top
+    assert cc.top == -1 == chain_complex(SimplicialComplex([1], [()])).top
     # each vertex maps to the empty simplex with coefficient +1
     cc2 = full_chain_complex(full_simplex([1, 2]))
     assert cc2.columns[0] == [[(0, 1)], [(0, 1)]]
@@ -667,7 +677,7 @@ def test_strong_core_examples():
     # every vertex link of the 6-vertex RP^2 is a 5-cycle: nothing is dominated
     k = rp2()
     assert strong_core(k) is k
-    for k in (void_complex([1, 2]), empty_simplex_complex([1, 2])):
+    for k in (void_complex([1, 2]), SimplicialComplex([1, 2], [()])):
         assert strong_core(k) is k
     # the total cut complex of K_{2,2,2} shrinks to a triangle boundary
     k = total_cut_complex(complete_multipartite(2, 2, 2), 2)
@@ -692,7 +702,9 @@ def _grow(k, step):
         return join(k, full_simplex([top + 1]))
     if step == "suspension":
         return join(SimplicialComplex([top + 1, top + 2], [{top + 1}, {top + 2}]), k)
-    return join(k, relabel_complex(rp2(), lambda v: top + v))
+    return join(k, SimplicialComplex(
+        [top + v for v in range(1, 7)], [{top + v for v in f} for f in RP2_FACETS]
+    ))
 
 
 @settings(max_examples=80, deadline=None)
@@ -720,7 +732,7 @@ def test_reduced_homology_examples():
     assert reduced_homology(total_cut_complex(cycle(6), 2)).groups == ((2, 1, ()),)
     assert reduced_homology(full_simplex([1, 2, 3])).is_trivial
     assert reduced_homology(void_complex([1])).void
-    assert reduced_homology(empty_simplex_complex([1])).groups == ((-1, 1, ()),)
+    assert reduced_homology(SimplicialComplex([1], [()])).groups == ((-1, 1, ()),)
 
 
 def test_rp2_is_a_closed_surface_and_has_torsion():
@@ -768,7 +780,7 @@ def test_full_skeleton_shortcut_matches_plain_snf():
         SimplicialComplex(range(1, 8), combinations(range(1, 8), 4)),
         simplex_boundary(range(1, 7)),
         full_simplex(range(1, 6)),
-        empty_simplex_complex([1, 2]),
+        SimplicialComplex([1, 2], [()]),
         void_complex([1, 2]),
         SimplicialComplex([1, 2, 3, 7, 9], simplex_boundary([1, 2, 3]).facets),
         rp2(),
@@ -848,7 +860,7 @@ def test_suspension_shifts_profiles():
             frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
             for _ in range(rng.randint(1, 4))
         ]
-        k = SimplicialComplex.from_facet_candidates(range(1, n + 1), facets)
+        k = generated(range(1, n + 1), facets)
         s0 = SimplicialComplex([91, 92], [{91}, {92}])
         assert reduced_homology(join(s0, k)).groups == reduced_homology(k).shifted(1).groups
 
@@ -944,9 +956,7 @@ def test_phantom_vertices_do_not_change_homology():
 def test_duality_at_degree_minus_one():
     # the empty-simplex complex on n vertices is dual to the boundary sphere:
     # one Z in degree -1 pairs with one Z in degree n-2
-    from cutcomplexes.complexes import empty_simplex_complex
-
-    k = empty_simplex_complex([1, 2, 3, 4])
+    k = SimplicialComplex([1, 2, 3, 4], [()])
     assert reduced_homology(k).groups == ((-1, 1, ()),)
     assert reduced_homology(simplex_boundary([1, 2, 3, 4])).groups == ((2, 1, ()),)
     assert verify_alexander_duality(k)
@@ -997,7 +1007,7 @@ def test_relative_homology_with_clearing_matches_dense():
     triangles = [set(t) for t in combinations(ground, 3)]
     for _ in range(6):
         tets = [set(t) for t in rng.sample(list(combinations(ground, 4)), 33)]
-        k = SimplicialComplex.from_facet_candidates(ground, triangles + tets)
+        k = generated(ground, triangles + tets)
         pair = SimplicialComplex(ground, [{1}, {2}])
         cc = relative_chain_complex(k, pair)
         assert homology_of_chain(cc) == homology_dense_of_chain(cc)

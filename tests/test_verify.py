@@ -7,10 +7,22 @@ import pytest
 
 import cutcomplexes.homology
 import cutcomplexes.verify
-from cutcomplexes import SUITES, VerificationReport, WedgeClaim, girth, run_all
+from cutcomplexes import (
+    SUITES,
+    SimplicialComplex,
+    VerificationReport,
+    WedgeClaim,
+    full_simplex,
+    girth,
+    join,
+    run_all,
+    total_cut_complex,
+)
+from cutcomplexes import graphs as gr
 from cutcomplexes.verify import (
     DEFAULT_SEED,
     RECIPES,
+    _delcom_expected_pieces,
     cycle_power_cut_case,
     grid_wedge_count,
     multipartite_bi_claim,
@@ -27,6 +39,33 @@ def test_petersen_shape():
     assert g.num_edges() == 15
     assert all(len(g.adj[v]) == 3 for v in g.vertices())
     assert girth(g) == 5
+
+
+def cut_after_deleting(g, drop, d):
+    """Oracle for a deletion-identity piece: the d-total cut complex of the
+    renumbered graph g - drop, mapped back through the survivors in order; at
+    d = 1, the boundary of the simplex on the survivors ({emptyset} on one
+    vertex, void on none)."""
+    keep = [v for v in g.vertices() if v not in drop]
+    if d == 1:
+        return SimplicialComplex(keep, [set(keep) - {v} for v in keep])
+    k = total_cut_complex(gr.delete_vertices(g, drop), d)
+    return SimplicialComplex(keep, [[keep[w - 1] for w in f] for f in k.facets])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gr.grid(3, 3), gr.rook(2, 3), gr.disjoint_union(gr.path(3), gr.path(3)),
+     gr.graph_power(gr.cycle(7), 2)],
+    ids=["grid3x3", "rook2x3", "P3+P3", "C7^2"],
+)
+def test_deletion_pieces_match_the_renumbered_subgraphs(g):
+    for v in g.vertices():
+        for d in (2, 3):
+            cut_minus_v, joined = _delcom_expected_pieces(g, v, d)
+            assert cut_minus_v == cut_after_deleting(g, {v}, d)
+            lower = cut_after_deleting(g, g.adj[v] | {v}, d - 1)
+            assert joined == join(full_simplex(g.adj[v]), lower)
 
 
 def test_cycle_power_case_split():
